@@ -3,19 +3,15 @@
 Every benchmark regenerates one of the paper's tables/figures and writes
 the rendered result to ``benchmarks/results/<name>.txt`` (also echoed to
 stdout, visible with ``pytest -s``).  EXPERIMENTS.md records the
-paper-vs-measured comparison these files feed.
+paper-vs-measured comparison these files feed.  Host-time reports
+(``BENCH_*.json``) are written only by ``repro bench``.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Repository root -- machine-readable artefacts (``BENCH_*.json``) land
-#: here rather than in ``results/`` so tooling finds them at a fixed path.
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 
 def write_report(name: str, text: str) -> pathlib.Path:
@@ -24,20 +20,6 @@ def write_report(name: str, text: str) -> pathlib.Path:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n=== {name} ===\n{text}\n")
-    return path
-
-
-def write_json_artifact(name: str, payload: dict) -> pathlib.Path:
-    """Persist a machine-readable ``BENCH_<name>.json`` at the repo root.
-
-    Unlike the rendered ``results/*.txt`` tables (simulated-time numbers,
-    stable across hosts), JSON artefacts may carry host wall-clock
-    figures that vary run to run -- hence the separate location and the
-    schema in :mod:`repro.obs.schema` instead of a golden file.
-    """
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\n=== BENCH_{name}.json -> {path} ===\n")
     return path
 
 

@@ -16,12 +16,11 @@ measures what an operator cares about at fleet scale:
 from repro.core.analysis import render_table
 from repro.core.resilience import RetryPolicy
 from repro.mcu import DeviceConfig
-from repro.obs.schema import validate_fleet_report
-from repro.perf import fleet
+from repro.perf import bench
 from repro.services.monitor import AttestationMonitor, MonitorPolicy
 from repro.services.swarm import Swarm
 
-from _report import run_once, write_json_artifact, write_report
+from _report import run_once, write_report
 
 
 def fleet_config() -> DeviceConfig:
@@ -97,43 +96,35 @@ def test_report_detection_latency(benchmark):
 def test_report_fleet_throughput(benchmark):
     """Sharded parallel sweep throughput vs the sequential seed path.
 
-    Writes ``BENCH_fleet.json`` (host wall-clock figures, schema-checked
-    against FLEET_SCHEMA) and gates on the acceptance criteria: the
-    parallel engine must sweep a >=256-member fleet at least 2x faster
-    than the sequential seed path *while producing byte-identical
-    reports*, and the fault-injected equivalence block must be clean.
-    The rendered ``results/`` table carries only deterministic fields
-    (sizes, verdicts, cache-hit arithmetic), never wall-clock numbers.
+    Runs the ``repro bench fleet`` declaration, whose gates are the
+    acceptance criteria: the engine must sweep a >=256-member fleet at
+    least 2x faster than the sequential seed path at the median *while
+    producing byte-identical reports*, and the fault-injected
+    equivalence block must be clean.  Host seconds live in
+    ``BENCH_fleet.json``; the rendered ``results/`` table carries only
+    deterministic fields (sizes, verdicts, cache-hit arithmetic).
     """
     run_once(benchmark, lambda: None)
-    report = fleet.build_report()
-    errors = validate_fleet_report(report)
-    assert not errors, f"BENCH_fleet.json fails FLEET_SCHEMA: {errors}"
-    write_json_artifact("fleet", report)
-
-    assert report["fleet_size"] >= 256
-    assert report["reports_identical"] is True
-    assert report["equivalence"]["identical"], (
-        f"parallel/sequential divergence: "
-        f"{report['equivalence']['mismatched_fields']}")
-    assert report["speedup"] >= 2.0, (
-        f"parallel sweep speedup {report['speedup']:.2f}x below the 2x "
-        f"gate at fleet size {report['fleet_size']}")
+    report = bench.run("fleet")
+    assert not bench.failures(report), bench.failures(report)
+    assert report["params"]["fleet_size"] >= 256
 
     # Deterministic summary table: cache-hit arithmetic is exact (one
     # miss per shard at spin-up, one hit per member per round after),
     # wall-clock numbers stay out of results/.
-    size, workers = report["fleet_size"], report["workers"]
-    sweeps = report["sweeps"]
-    cache = report["cache"]
+    params, equivalence = report["params"], report["equivalence"]
+    size, workers = params["fleet_size"], params["workers"]
+    sweeps = params["sweeps"]
+    cache = report["points"][0]["cache"]
     expected_hits = (size - workers) + sweeps * size
     rows = [["quantity", "value"],
             ["fleet size", str(size)],
             ["shard workers", str(workers)],
             ["sweeps timed", str(sweeps)],
-            ["sweep reports byte-identical", str(report["reports_identical"])],
+            ["sweep reports byte-identical",
+             str("bench_sweep_reports" not in equivalence["mismatched_fields"])],
             ["fault-injected equivalence clean",
-             str(report["equivalence"]["identical"])],
+             str(equivalence["identical"])],
             ["digest-cache misses (one per shard)", str(cache["misses"])],
             ["digest-cache hits", f"{cache['hits']} (expected "
                                   f"{expected_hits})"]]

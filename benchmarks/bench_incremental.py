@@ -14,39 +14,27 @@ through update+sweep rounds and gates on three things:
 * a planted compromise is detected identically through a hot content
   cache.
 
-Wall-clock figures land in ``BENCH_incremental.json`` (schema-checked,
-host-varying); the rendered ``results/`` table carries only
+Host seconds land in ``BENCH_incremental.json``, which only
+``repro bench`` writes; the rendered ``results/`` table carries only
 deterministic fields, exactly like the fleet-engine benchmark.
 """
 
 
 from repro.core.analysis import render_table
-from repro.obs.schema import validate_incremental_report
-from repro.perf import incremental
+from repro.perf import bench, incremental
 
-from _report import run_once, write_json_artifact, write_report
+from _report import run_once, write_report
 
 
 def test_report_incremental_throughput(benchmark):
-    """Writes ``BENCH_incremental.json`` and gates the acceptance
-    criteria: >= 3x sweep wall-clock at fleet 256 with <= 10% dirty,
-    equivalence block clean."""
+    """Runs the ``repro bench incremental`` declaration and gates the
+    acceptance criteria: >= 3x sweep wall-clock at the median at fleet
+    256 with <= 10% dirty, equivalence block clean."""
     run_once(benchmark, lambda: None)
-    report = incremental.build_report()
-    errors = validate_incremental_report(report)
-    assert not errors, (
-        f"BENCH_incremental.json fails INCREMENTAL_SCHEMA: {errors}")
-    write_json_artifact("incremental", report)
-
-    assert report["fleet_size"] >= 256
-    assert report["equivalence"]["identical"], (
-        f"incremental/full divergence: {report['equivalence']}")
-    gate = report["gate"]
-    assert gate["dirty_fraction"] <= 0.10
-    assert gate["passed"] and gate["speedup"] >= 3.0, (
-        f"incremental sweep speedup {gate['speedup']:.2f}x below the 3x "
-        f"gate at {gate['dirty_fraction']:.0%} dirty, fleet size "
-        f"{report['fleet_size']}")
+    report = bench.run("incremental")
+    assert not bench.failures(report), bench.failures(report)
+    params, equivalence = report["params"], report["equivalence"]
+    assert params["fleet_size"] >= 256
 
     # Deterministic summary: digest-tree work arithmetic is exact, so
     # the results/ table never carries host wall-clock numbers.  At
@@ -54,19 +42,19 @@ def test_report_incremental_throughput(benchmark):
     # image (the one content miss) plus per-member tree refreshes of
     # ceil(f * leaves) leaf chunks; the full-walk fleet re-hashes all N
     # member images.
-    point = next(p for p in report["points"]
-                 if p["dirty_fraction"] == gate["dirty_fraction"])
+    point = max((p for p in report["points"]
+                 if p["dirty_fraction"] <= incremental.GATE_DIRTY_FRACTION),
+                key=lambda p: p["dirty_fraction"])
     rows = [["quantity", "value"],
-            ["fleet size", str(report["fleet_size"])],
-            ["writable KB / member", str(report["writable_kb"])],
+            ["fleet size", str(params["fleet_size"])],
+            ["writable KB / member", str(params["writable_kb"])],
             ["chunk size (B) / arity",
-             f"{report['chunk_size']} / {report['arity']}"],
-            ["gate dirty fraction", f"{gate['dirty_fraction']:.0%}"],
+             f"{params['chunk_size']} / {params['arity']}"],
+            ["gate dirty fraction", f"{point['dirty_fraction']:.0%}"],
             ["dirty KB / member / round", str(point["dirty_kb"])],
-            ["equivalence clean", str(report["equivalence"]["identical"])],
+            ["equivalence clean", str(equivalence["identical"])],
             ["compromise detected",
-             str(report["equivalence"]["scenarios"]["compromised"]
-                 ["detected"])],
+             str(equivalence["scenarios"]["compromised"]["detected"])],
             ["tree full builds (member 0)",
              str(point["tree"]["full_builds"])],
             ["tree leaf hashes (member 0)",

@@ -8,34 +8,25 @@ request latency sits as offered load grows, and how many requests the
 per-tenant duty-cycle budget turns away before any prover pays for
 them.
 
-Writes ``BENCH_service.json`` (schema-checked against SERVICE_SCHEMA)
-and gates on the acceptance criteria: a load point with >= 1000
-sessions concurrently in flight, and the serviced path byte-identical
-to the sequential library path at ``workers=1``.  The rendered
-``results/`` table carries only deterministic fields (admission
-arithmetic, verdict counts), never wall-clock numbers.
+Runs the ``repro bench service`` declaration, whose gates are the
+acceptance criteria: a load point with >= 1000 sessions concurrently in
+flight, and the serviced path byte-identical to the sequential library
+path at ``workers=1``.  Host seconds live in ``BENCH_service.json``,
+which only ``repro bench`` writes; the rendered ``results/`` table
+carries only deterministic fields (admission arithmetic, verdict
+counts).
 """
 
 from repro.core.analysis import render_table
-from repro.obs.schema import validate_service_report
-from repro.perf import service as perf_service
+from repro.perf import bench
 
-from _report import run_once, write_json_artifact, write_report
+from _report import run_once, write_report
 
 
 def test_report_service_load(benchmark):
     run_once(benchmark, lambda: None)
-    report = perf_service.build_report()
-    errors = validate_service_report(report)
-    assert not errors, f"BENCH_service.json fails SERVICE_SCHEMA: {errors}"
-    write_json_artifact("service", report)
-
-    assert report["gate"]["passed"], (
-        f"peak in-flight {report['gate']['max_peak_in_flight']} below "
-        f"the {report['gate']['required_in_flight']}-session gate")
-    assert report["equivalence"]["identical"], (
-        f"serviced/sequential divergence: "
-        f"{report['equivalence']['mismatched_fields']}")
+    report = bench.run("service")
+    assert not bench.failures(report), bench.failures(report)
 
     # Deterministic summary: admission arithmetic replays exactly from
     # the seeds; wall-clock figures stay in the JSON artefact.
@@ -46,8 +37,10 @@ def test_report_service_load(benchmark):
         rows.append([label, str(point["offered"]), str(point["admitted"]),
                      str(point["rejected"]), str(point["peak_in_flight"])])
     table = render_table(rows, title="Admission control vs offered load "
-                                     f"({report['size']} devices, "
-                                     f"{report['tenants']} tenants)")
+                                     f"({report['params']['size']} "
+                                     f"devices, "
+                                     f"{report['params']['tenants']} "
+                                     f"tenants)")
     table += ("\n\nThe duty-cycle budget is enforced before any prover "
               "cycle is spent: every rejected request above cost the "
               "verifier a token-bucket subtraction and the fleet "

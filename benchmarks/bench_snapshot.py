@@ -17,58 +17,46 @@ against the previous checkpoint -- and gates on three things:
   content-addressing dedups nothing across the fleet, is reported
   un-gated rather than hidden.
 
-Wall-clock figures land in ``BENCH_snapshot.json`` (schema-checked,
-host-varying); the rendered ``results/`` table carries only
+Host seconds land in ``BENCH_snapshot.json``, which only
+``repro bench`` writes; the rendered ``results/`` table carries only
 deterministic fields, exactly like the incremental benchmark.
 """
 
 
 from repro.core.analysis import render_table
-from repro.obs.schema import validate_snapshot_report
+from repro.perf import bench
 from repro.perf import snapshot as perf_snapshot
 
-from _report import run_once, write_json_artifact, write_report
+from _report import run_once, write_report
 
 
 def test_report_snapshot_throughput(benchmark):
-    """Writes ``BENCH_snapshot.json`` and gates the acceptance
-    criteria: >= 3x capture wall-clock and >= 10x bytes written at
-    fleet 256 with <= 10% dirty, every chain byte-identical,
-    equivalence block clean."""
+    """Runs the ``repro bench snapshot`` declaration and gates the
+    acceptance criteria: >= 3x capture wall-clock at the median and
+    >= 10x bytes written at fleet 256 with <= 10% dirty, every chain
+    byte-identical, equivalence block clean."""
     run_once(benchmark, lambda: None)
-    report = perf_snapshot.build_report()
-    errors = validate_snapshot_report(report)
-    assert not errors, (
-        f"BENCH_snapshot.json fails SNAPSHOT_BENCH_SCHEMA: {errors}")
-    write_json_artifact("snapshot", report)
-
-    assert report["fleet_size"] >= 256
-    assert all(point["chain_identical"] for point in report["points"])
-    assert report["equivalence"]["identical"], (
-        f"delta-chain restore divergence: {report['equivalence']}")
-    gate = report["gate"]
-    assert gate["dirty_fraction"] <= 0.10
-    assert gate["passed"], (
-        f"delta capture {gate['speedup']:.2f}x / "
-        f"{gate['bytes_reduction']:.1f}x bytes below the "
-        f"{gate['speedup_threshold']:.1f}x / "
-        f"{gate['bytes_threshold']:.1f}x gates at "
-        f"{gate['dirty_fraction']:.0%} dirty, fleet size "
-        f"{report['fleet_size']}")
+    report = bench.run("snapshot")
+    assert not bench.failures(report), bench.failures(report)
+    params, points = report["params"], report["points"]
+    assert params["fleet_size"] >= 256
+    gate_fraction = max(point["dirty_fraction"] for point in points
+                        if point["shared_content"] and point["dirty_fraction"]
+                        <= perf_snapshot.GATE_DIRTY_FRACTION)
 
     # Deterministic summary: chain identity and the point grid are
     # exact; wall-clock and byte ratios vary by host and live only in
     # BENCH_snapshot.json.
     rows = [["quantity", "value"],
-            ["fleet size", str(report["fleet_size"])],
-            ["RAM KB / member", str(report["ram_kb"])],
-            ["shard workers", str(report["workers"])],
-            ["chunk size (B)", str(report["chunk_size"])],
-            ["timed rounds / point", str(report["rounds"])],
-            ["gate dirty fraction", f"{gate['dirty_fraction']:.0%}"],
-            ["points measured", str(len(report["points"]))],
+            ["fleet size", str(params["fleet_size"])],
+            ["RAM KB / member", str(params["ram_kb"])],
+            ["shard workers", str(params["workers"])],
+            ["chunk size (B)", str(params["chunk_size"])],
+            ["timed rounds / point", str(params["rounds"])],
+            ["gate dirty fraction", f"{gate_fraction:.0%}"],
+            ["points measured", str(len(points))],
             ["chains byte-identical",
-             str(all(p["chain_identical"] for p in report["points"]))],
+             str(all(p["chain_identical"] for p in points))],
             ["restore equivalence clean",
              str(report["equivalence"]["identical"])]]
     table = render_table(rows, title="Delta checkpoints: dirty-chunk "

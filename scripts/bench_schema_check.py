@@ -1,16 +1,10 @@
 #!/usr/bin/env python
 """Validate every checked-in ``BENCH_*.json`` artefact in one pass.
 
-Each benchmark writes a machine-readable report at the repository root
-(``benchmarks/_report.write_json_artifact``); each report family has a
-schema and validator in :mod:`repro.obs.schema`.  This script maps
-every ``BENCH_<name>.json`` file to its validator and fails on:
-
-* a file whose payload is not valid JSON,
-* a file whose payload fails its schema validator,
-* a ``BENCH_*.json`` file with *no* registered validator (a new
-  benchmark must land its schema in ``repro.obs.schema`` and a mapping
-  here, or its artefact silently escapes CI).
+Every report is a ``repro.perf.bench/v1`` envelope written by
+``repro bench``; :func:`repro.perf.bench.validate` is its one
+validator.  A file fails when it is unreadable, is not JSON, names any
+other schema, or violates the envelope.
 
 Exit status: 0 on success, 1 with per-file diagnostics.
 
@@ -27,31 +21,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def validators():
-    from repro.obs import schema
-
-    return {
-        "BENCH_wallclock.json": schema.validate_wallclock_report,
-        "BENCH_fleet.json": schema.validate_fleet_report,
-        "BENCH_incremental.json": schema.validate_incremental_report,
-        "BENCH_service.json": schema.validate_service_report,
-        "BENCH_snapshot.json": schema.validate_snapshot_report,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("files", nargs="*",
                         help="artefacts to check (default: every "
                              "BENCH_*.json at the repository root)")
     args = parser.parse_args(argv)
-
-    try:
-        known = validators()
-    except Exception as exc:  # pragma: no cover - import-time breakage
-        print(f"bench-schema-check: FAIL: cannot import repro: {exc}",
-              file=sys.stderr)
-        return 1
+    from repro.perf import bench
 
     paths = ([Path(name) for name in args.files] if args.files
              else sorted(REPO_ROOT.glob("BENCH_*.json")))
@@ -59,23 +35,15 @@ def main(argv=None) -> int:
         print("bench-schema-check: FAIL: no BENCH_*.json artefacts "
               "found", file=sys.stderr)
         return 1
-
     failures = []
     for path in paths:
-        validate = known.get(path.name)
-        if validate is None:
-            failures.append(f"{path.name}: no validator registered in "
-                            f"scripts/bench_schema_check.py")
-            continue
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError) as exc:
             failures.append(f"{path.name}: unreadable: {exc}")
             continue
-        errors = validate(payload)
-        for error in errors:
-            failures.append(f"{path.name}: {error}")
-
+        failures += [f"{path.name}: {error}"
+                     for error in bench.validate(payload)]
     if failures:
         for failure in failures:
             print(f"bench-schema-check: FAIL: {failure}", file=sys.stderr)

@@ -15,10 +15,12 @@ Three independent gates, any of which fails CI:
    ``hits == size - 1`` -- the O(unique_configs * measure + N * cheap)
    claim, checked as exact arithmetic), and must not be slower than the
    uncached spin-up by more than the tolerance.
-3. **Report validity** -- ``BENCH_fleet.json`` (regenerated at a small
-   size into a scratch path by default) must match
-   :data:`repro.obs.schema.FLEET_SCHEMA`, record a clean equivalence
-   block, and record byte-identical sequential/parallel reports.
+3. **Report validity** -- a fleet report (measured in memory at a small
+   size by default, or an existing ``BENCH_fleet.json``) must be a valid
+   ``repro.perf.bench/v1`` envelope whose equivalence block -- the
+   fault-injected check plus the timed sweeps' sequential/parallel
+   reports -- is clean.  The >= 2x speedup gate is not judged here: it
+   is declared at fleet 256, not at smoke size.
 
 Exit status: 0 on success, 1 with diagnostics on any failure.
 
@@ -30,7 +32,6 @@ Usage::
 import argparse
 import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -54,10 +55,9 @@ def main(argv=None) -> int:
     try:
         from repro.mcu.device import DeviceConfig
         from repro.mcu.statecache import StateDigestCache
-        from repro.obs.schema import validate_fleet_report
-        from repro.perf.fleet import (FleetSpec, build_report,
-                                      default_equivalence_spec,
-                                      equivalence_check, write_report)
+        from repro.perf import bench
+        from repro.perf.fleet import (FleetSpec, default_equivalence_spec,
+                                      equivalence_check)
     except ImportError as exc:
         print(f"fleet-smoke: cannot import repro ({exc}); "
               f"run with PYTHONPATH=src", file=sys.stderr)
@@ -112,26 +112,17 @@ def main(argv=None) -> int:
             except json.JSONDecodeError as exc:
                 failures.append(f"report is not JSON: {exc}")
     else:
-        print("fleet-smoke: generating a small report", file=sys.stderr)
-        try:
-            report = build_report(fleet_size=8, ram_kb=64, sweeps=1,
-                                  workers=2, equivalence_size=4)
-        except AssertionError as exc:
-            failures.append(f"report generation refused: {exc}")
-        else:
-            with tempfile.TemporaryDirectory() as scratch:
-                write_report(report, Path(scratch) / "BENCH_fleet.json")
+        print("fleet-smoke: measuring a small report", file=sys.stderr)
+        report = bench.run("fleet", fleet_size=8, ram_kb=64, sweeps=1,
+                           workers=2, equivalence_size=4)
 
     if report is not None:
-        failures += [f"report: {e}" for e in validate_fleet_report(report)]
-        if report.get("reports_identical") is not True:
-            failures.append("report records non-identical "
-                            "sequential/parallel sweep reports")
-        recorded = report.get("equivalence")
-        if isinstance(recorded, dict) and recorded.get(
-                "identical") is not True:
-            failures.append("report records a broken parallel/sequential "
-                            "equivalence block")
+        errors = bench.validate(report)
+        failures += [f"report: {e}" for e in errors]
+        if not errors and not report["equivalence"]["identical"]:
+            failures.append(f"report records a broken parallel/sequential "
+                            f"equivalence block: "
+                            f"{report['equivalence']['mismatched_fields']}")
 
     if failures:
         for failure in failures:

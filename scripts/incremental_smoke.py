@@ -21,7 +21,7 @@ Four independent gates, any of which fails CI:
    ``N * image`` at a 10% dirty fraction.  Deterministic; the real
    wall-clock >= 3x gate lives in ``BENCH_incremental.json``.
 4. **Report validity** -- the checked-in ``BENCH_incremental.json``
-   must match :data:`repro.obs.schema.INCREMENTAL_SCHEMA` and record a
+   must be a valid ``repro.perf.bench/v1`` envelope and record a
    passing speedup gate and a clean equivalence block.
 
 Exit status: 0 on success, 1 with diagnostics on any failure.
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        from repro.obs.schema import validate_incremental_report
+        from repro.perf import bench
         from repro.perf.incremental import (apply_update, build_swarm,
                                             equivalence_check, learn_update)
     except ImportError as exc:
@@ -138,16 +138,11 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             failures.append(f"report is not JSON: {exc}")
         else:
-            failures += [f"report: {e}"
-                         for e in validate_incremental_report(report)]
-            gate = report.get("gate")
-            if isinstance(gate, dict) and gate.get("passed") is not True:
-                failures.append("report records a failed speedup gate")
-            recorded = report.get("equivalence")
-            if isinstance(recorded, dict) and recorded.get(
-                    "identical") is not True:
-                failures.append("report records a broken incremental/full "
-                                "equivalence block")
+            errors = bench.validate(report)
+            failures += [f"report: {e}" for e in errors]
+            if not errors:
+                failures += [f"report records {problem}"
+                             for problem in bench.failures(report)]
 
     if failures:
         for failure in failures:

@@ -4,15 +4,16 @@
 Three independent gates, any of which fails CI:
 
 1. **Equivalence** -- a seeded protocol scenario run under the naive
-   reference and every fast engine must agree byte for byte on response
-   MACs, measurement digests, consumed cycles, prover stats and the
-   telemetry registry dump.  A fast path that changes any of these is a
-   correctness regression, however fast it is.
+   reference and the ``accel`` engine must agree byte for byte on
+   response MACs, measurement digests, consumed cycles, prover stats and
+   the telemetry registry dump.  A fast path that changes any of these
+   is a correctness regression, however fast it is.
 2. **Report validity** -- ``BENCH_wallclock.json`` (at the repo root;
-   regenerated at a small size if absent, unless ``--no-generate``)
-   must match :data:`repro.obs.schema.WALLCLOCK_SCHEMA`.
-3. **Report cleanliness** -- the report's own recorded equivalence
-   block must be clean, and its naive/fast digests must agree.
+   measured in memory at a small size if absent, unless
+   ``--no-generate``) must be a valid ``repro.perf.bench/v1`` envelope.
+3. **Report cleanliness** -- the report's recorded equivalence block
+   (which includes the naive/accel digest agreement of its timed
+   points) must be clean and its speedup gate must pass.
 
 Exit status: 0 on success, 1 with diagnostics on any failure.
 
@@ -39,13 +40,12 @@ def main(argv=None) -> int:
                         help="scenario size for the live equivalence check")
     parser.add_argument("--no-generate", action="store_true",
                         help="fail if the report is missing instead of "
-                             "generating a small one")
+                             "measuring a small one")
     args = parser.parse_args(argv)
 
     try:
-        from repro.obs.schema import validate_wallclock_report
-        from repro.perf.wallclock import build_report, equivalence_check, \
-            write_report
+        from repro.perf import bench
+        from repro.perf.wallclock import equivalence_check
     except ImportError as exc:
         print(f"perf-smoke: cannot import repro ({exc}); "
               f"run with PYTHONPATH=src", file=sys.stderr)
@@ -56,52 +56,33 @@ def main(argv=None) -> int:
     # Gate 1: live equivalence on a small scenario.
     equivalence = equivalence_check(ram_kb=args.ram_kb)
     if not equivalence["identical"]:
-        broken = {engine: result["mismatched_fields"]
-                  for engine, result in equivalence["engines"].items()
-                  if not result["identical"]}
-        failures.append(f"fast/naive equivalence broken: {broken}")
+        failures.append(f"naive/accel equivalence broken: "
+                        f"{equivalence['mismatched_fields']}")
 
-    # Gate 2: the report exists (or is regenerated small) and validates.
+    # Gate 2: the report exists (or is measured small) and validates.
     report_path = Path(args.report)
     report = None
     if not report_path.is_file():
         if args.no_generate:
             failures.append(f"report missing: {report_path}")
         else:
-            print(f"perf-smoke: {report_path} missing, generating a "
+            print(f"perf-smoke: {report_path} missing, measuring a "
                   f"small report", file=sys.stderr)
-            try:
-                report = build_report(sweep_kb=(16, 64), naive_kb=64,
-                                      equivalence_ram_kb=args.ram_kb)
-            except AssertionError as exc:
-                failures.append(f"report generation refused: {exc}")
-            else:
-                write_report(report, report_path)
+            report = bench.run("wallclock", sweep_kb=(16, 64), naive_kb=64,
+                               equivalence_ram_kb=args.ram_kb)
     else:
         try:
             report = json.loads(report_path.read_text())
         except json.JSONDecodeError as exc:
             failures.append(f"report is not JSON: {exc}")
 
+    # Gate 3: the report's recorded gates and equivalence are clean.
     if report is not None:
-        failures += [f"report: {e}" for e in
-                     validate_wallclock_report(report)]
-
-    # Gate 3: the report's recorded equivalence must itself be clean.
-    if report is not None and isinstance(report.get("equivalence"), dict):
-        if report["equivalence"].get("identical") is not True:
-            failures.append("report records a broken fast/naive "
-                            "equivalence block")
-    if report is not None and not any(f.startswith("report") for f in
-                                      failures):
-        naive = report["naive_baseline"]
-        fast = next((entry for entry in report["sweep"]
-                     if entry["ram_kb"] == naive["ram_kb"]), None)
-        if fast is not None and fast["digest"] != naive["digest"]:
-            failures.append(
-                f"report digests diverge at {naive['ram_kb']} KB: "
-                f"naive {naive['digest'][:16]}.. vs "
-                f"fast {fast['digest'][:16]}..")
+        errors = bench.validate(report)
+        failures += [f"report: {e}" for e in errors]
+        if not errors:
+            failures += [f"report records {problem}"
+                         for problem in bench.failures(report)]
 
     if failures:
         for failure in failures:

@@ -18,7 +18,7 @@ Four independent gates, any of which fails CI:
    continue with the remaining waves: records for the continuation,
    freshness and merged telemetry must match an uninterrupted run.
 4. **Checked-in benchmark** -- ``BENCH_service.json`` at the repo root
-   must validate against SERVICE_SCHEMA, with the >= 1000-session
+   must be a valid ``repro.perf.bench/v1`` envelope, with the >= 1000-session
    concurrency gate passed and the serviced/sequential equivalence
    check recorded as identical.
 
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
     try:
         from repro.services.attestd import (AttestationService,
                                             build_schedule)
-        from repro.obs.schema import validate_service_report
+        from repro.perf import bench
     except Exception as exc:  # pragma: no cover - import-time breakage
         print(f"service-smoke: FAIL: cannot import repro: {exc}",
               file=sys.stderr)
@@ -130,18 +130,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         failures.append(f"bench: cannot read {bench_path}: {exc}")
     else:
-        errors = validate_service_report(report)
+        errors = bench.validate(report)
         for error in errors:
             failures.append(f"bench: schema violation: {error}")
         if not errors:
-            if not report["gate"]["passed"]:
-                failures.append(
-                    "bench: checked-in report failed its own "
-                    f"concurrency gate ({report['gate']})")
-            if not report["equivalence"]["identical"]:
-                failures.append(
-                    "bench: checked-in report records a serviced/"
-                    "sequential divergence")
+            failures += [f"bench: checked-in report records {problem}"
+                         for problem in bench.failures(report)]
 
     if failures:
         for failure in failures:

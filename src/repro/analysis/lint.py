@@ -177,38 +177,16 @@ def _dotted(node: ast.AST) -> tuple[str, ...] | None:
 #: a reason, so every host-clock site in the simulator tree is accounted
 #: for.
 HOST_BOUNDARY_MODULES = {
-    "src/repro/perf/__init__.py":
-        "perf package docstring/exports for the host wall-clock harness",
-    "src/repro/perf/wallclock.py":
-        "measures host wall-clock of the measurement engines; simulated "
-        "time never flows out of it (equivalence_check proves digests "
-        "and cycle counts are unchanged)",
+    "src/repro/perf/bench.py":
+        "the one host-time benchmark core: every host timing goes "
+        "through its time.perf_counter laps, and each bench it runs "
+        "carries an equivalence_check proving simulated outputs are "
+        "unchanged; host seconds never flow back into simulated state",
     "src/repro/perf/fleet.py":
-        "host-parallel fleet layer: times spin-up/sweeps with "
-        "time.perf_counter and drives ProcessPoolExecutor shards; all "
-        "simulated state lives in the sharded Swarms, and "
+        "host-parallel fleet layer: drives ProcessPoolExecutor shards; "
+        "all simulated state lives in the sharded Swarms, and "
         "equivalence_check proves shard merges are byte-identical to "
         "the sequential seed path",
-    "src/repro/perf/service.py":
-        "service-tier load benchmark: times request serving with "
-        "time.perf_counter and stamps per-request host latency via a "
-        "clock injected into AttestationService.serve; admission "
-        "decisions and session outcomes stay schedule-deterministic "
-        "(equivalence_check proves the serviced run is byte-identical "
-        "to the sequential library path)",
-    "src/repro/perf/incremental.py":
-        "incremental-attestation benchmark harness: times full-walk vs "
-        "dirty-region sweeps with time.perf_counter; simulated "
-        "accounting is compared byte-for-byte between the two paths "
-        "(equivalence_check), never derived from host time",
-    "src/repro/perf/snapshot.py":
-        "delta-checkpoint benchmark harness: times full vs delta "
-        "snapshot capture with time.perf_counter; the captured "
-        "documents themselves are host-time-free, and measure_point "
-        "refuses to report unless the delta chain materializes "
-        "byte-identical to the full snapshot (equivalence_check "
-        "additionally proves restore-and-continue matches the live "
-        "run)",
 }
 
 

@@ -14,17 +14,14 @@ Usage::
     python -m repro lint [paths ...] [--json] [--waivers F] [--allow-stale]
     python -m repro taint [--json] [--policy F] [--allow-stale] [--canary]
     python -m repro analyze [--out F] [--allow-stale]
-    python -m repro fleet-bench [--size N] [--workers W] [--json]
-    python -m repro incremental-bench [--size N] [--dirty F ...] [--json]
+    python -m repro bench NAME|all [--out DIR] [--json]
     python -m repro serve [--devices N] [--waves K] [--snapshot F]
-    python -m repro service-bench [--size N] [--json]
     python -m repro snapshot save --out F [--size N] [--sweeps K]
                                   [--parent P] [--verify] [--incremental]
     python -m repro snapshot restore F [--sweeps K] [--json]
     python -m repro snapshot replay F --seq N
     python -m repro snapshot compact F --out OUT
     python -m repro snapshot bisect F [F ...] --match KEY=VALUE ...
-    python -m repro snapshot-bench [--size N] [--workers W] [--json]
 
 Each subcommand prints the same tables the benchmark harness writes to
 ``benchmarks/results/``; the CLI exists so a downstream user can poke at
@@ -509,96 +506,6 @@ def _cmd_analyze(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_fleet_bench(args) -> int:
-    """Sharded parallel fleet sweep vs the sequential seed path."""
-    import json
-
-    from .obs.schema import validate_fleet_report
-    from .perf import fleet
-
-    report = fleet.build_report(fleet_size=args.size, ram_kb=args.ram_kb,
-                                sweeps=args.sweeps, workers=args.workers)
-    errors = validate_fleet_report(report)
-    if errors:
-        for error in errors:
-            print(error, file=sys.stderr)
-        return 1
-    if args.out:
-        fleet.write_report(report, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
-    equivalence = report["equivalence"]
-    rows = [["quantity", "sequential", "parallel"],
-            ["spin-up (s)",
-             f"{report['spinup']['sequential_seconds']:.3f}",
-             f"{report['spinup']['parallel_seconds']:.3f}"],
-            ["sweep wall-clock (s)",
-             f"{report['sequential']['sweep_seconds']:.3f}",
-             f"{report['parallel']['sweep_seconds']:.3f}"],
-            ["devices / second",
-             f"{report['sequential']['devices_per_second']:.0f}",
-             f"{report['parallel']['devices_per_second']:.0f}"]]
-    print(render_table(
-        rows, title=f"Fleet bench: {report['fleet_size']} members, "
-                    f"{report['workers']} workers, "
-                    f"{report['sweeps']} sweep(s)"))
-    cache = report["cache"]
-    print(f"\nsweep speedup: {report['speedup']:.2f}x   "
-          f"digest cache: {cache['hits']} hits / {cache['misses']} misses")
-    print(f"reports identical: {report['reports_identical']}   "
-          f"equivalence clean: {equivalence['identical']}")
-    return 0 if equivalence["identical"] else 1
-
-
-def _cmd_incremental_bench(args) -> int:
-    """Dirty-region incremental sweeps vs full walks on an OTA fleet."""
-    import json
-
-    from .obs.schema import validate_incremental_report
-    from .perf import incremental
-
-    kwargs = {}
-    if args.dirty:
-        kwargs["dirty_fractions"] = tuple(args.dirty)
-    report = incremental.build_report(fleet_size=args.size,
-                                      ram_kb=args.ram_kb,
-                                      sweeps=args.sweeps,
-                                      chunk_size=args.chunk_size,
-                                      **kwargs)
-    errors = validate_incremental_report(report)
-    if errors:
-        for error in errors:
-            print(error, file=sys.stderr)
-        return 1
-    if args.out:
-        incremental.write_report(report, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
-    rows = [["dirty", "dirty KB", "full (s)", "incremental (s)", "speedup"]]
-    for point in report["points"]:
-        rows.append([f"{point['dirty_fraction']:.0%}",
-                     str(point["dirty_kb"]),
-                     f"{point['full_seconds']:.3f}",
-                     f"{point['incremental_seconds']:.3f}",
-                     f"{point['speedup']:.2f}x"])
-    print(render_table(
-        rows, title=f"Incremental bench: {report['fleet_size']} members, "
-                    f"{report['writable_kb']} KB writable, "
-                    f"{report['sweeps']} timed sweep(s)"))
-    gate = report["gate"]
-    equivalence = report["equivalence"]
-    print(f"\ngate: {gate['speedup']:.2f}x at "
-          f"{gate['dirty_fraction']:.0%} dirty "
-          f"(threshold {gate['threshold']:.1f}x) -> "
-          f"{'pass' if gate['passed'] else 'FAIL'}")
-    print(f"equivalence clean: {equivalence['identical']}")
-    return 0 if gate["passed"] and equivalence["identical"] else 1
-
-
 def _report_rows(report) -> list:
     return [["quantity", "value"],
             ["attempted", str(report.attempted)],
@@ -866,54 +773,6 @@ def _cmd_snapshot_bisect(args) -> int:
     return 0
 
 
-def _cmd_snapshot_bench(args) -> int:
-    """Chained delta checkpoints vs full snapshots on an OTA fleet."""
-    import json
-
-    from .obs.schema import validate_snapshot_report
-    from .perf import snapshot as perf_snapshot
-
-    report = perf_snapshot.build_report(fleet_size=args.size,
-                                        ram_kb=args.ram_kb,
-                                        rounds=args.rounds,
-                                        workers=args.workers,
-                                        chunk_size=args.chunk_size)
-    errors = validate_snapshot_report(report)
-    if errors:
-        for error in errors:
-            print(error, file=sys.stderr)
-        return 1
-    if args.out:
-        perf_snapshot.write_report(report, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
-    rows = [["dirty", "content", "full (s)", "delta (s)", "speedup",
-             "bytes saved"]]
-    for point in report["points"]:
-        rows.append([f"{point['dirty_fraction']:.0%}",
-                     "shared" if point["shared_content"] else "unique",
-                     f"{point['full_seconds']:.3f}",
-                     f"{point['delta_seconds']:.3f}",
-                     f"{point['speedup']:.2f}x",
-                     f"{point['bytes_reduction']:.1f}x"])
-    print(render_table(
-        rows, title=f"Snapshot bench: {report['fleet_size']} members, "
-                    f"{report['workers']} workers, "
-                    f"{report['rounds']} timed round(s)"))
-    gate = report["gate"]
-    equivalence = report["equivalence"]
-    print(f"\ngate: {gate['speedup']:.2f}x wall-clock / "
-          f"{gate['bytes_reduction']:.1f}x bytes at "
-          f"{gate['dirty_fraction']:.0%} dirty (thresholds "
-          f"{gate['speedup_threshold']:.1f}x / "
-          f"{gate['bytes_threshold']:.1f}x) -> "
-          f"{'pass' if gate['passed'] else 'FAIL'}")
-    print(f"equivalence clean: {equivalence['identical']}")
-    return 0 if gate["passed"] and equivalence["identical"] else 1
-
-
 def _cmd_serve(args) -> int:
     """Run the multi-tenant verifier service over a seeded schedule."""
     import json
@@ -984,46 +843,47 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_service_bench(args) -> int:
-    """Service-tier load benchmark vs the sequential library path."""
+def _cmd_bench(args) -> int:
+    """Host-time benches on the ``repro.perf.bench`` core; the only
+    writer of ``BENCH_<name>.json``.  Exits 1 when any gate fails or
+    any equivalence block is not identical."""
     import json
 
-    from .obs.schema import validate_service_report
-    from .perf import service as perf_service
+    from .errors import ReproError
+    from .perf import bench
 
-    report = perf_service.build_report(size=args.size, tenants=args.tenants,
-                                       backends=args.backends,
-                                       duty_fraction=args.duty)
-    errors = validate_service_report(report)
-    if errors:
-        for error in errors:
-            print(error, file=sys.stderr)
-        return 1
-    if args.out:
-        perf_service.write_report(report, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
+    names = bench.BENCHES if args.name == "all" else (args.name,)
+    reports = []
+    failed = False
+    for name in names:
+        report = bench.run(name)
+        reports.append(report)
+        for problem in bench.failures(report):
+            failed = True
+            print(f"bench {name}: FAIL: {problem}", file=sys.stderr)
+        if args.out is not None:
+            try:
+                path = bench.write(report, args.out)
+            except ReproError as exc:
+                print(f"bench {name}: {exc}", file=sys.stderr)
+            else:
+                print(f"bench {name}: wrote {path}", file=sys.stderr)
     if args.json:
-        print(json.dumps(report, indent=2))
-        return 0 if report["gate"]["passed"] else 1
-    rows = [["point", "offered", "admitted", "rejected", "in flight",
-             "sessions/s", "p99 (ms)"]]
-    for label, point in zip(("paced", "overload", "burst"),
-                            report["points"]):
-        rows.append([label, str(point["offered"]), str(point["admitted"]),
-                     str(point["rejected"]), str(point["peak_in_flight"]),
-                     f"{point['sessions_per_second']:.0f}",
-                     f"{point['p99_latency_ms']:.1f}"])
-    print(render_table(
-        rows, title=f"Service bench: {report['size']} devices, "
-                    f"{report['tenants']} tenants, "
-                    f"{report['backends']} backends"))
-    gate = report["gate"]
-    equivalence = report["equivalence"]
-    print(f"\ngate: {gate['max_peak_in_flight']} sessions in flight "
-          f"(needs >= {gate['required_in_flight']}) -> "
-          f"{'pass' if gate['passed'] else 'FAIL'}")
-    print(f"equivalence clean: {equivalence['identical']}")
-    return 0 if gate["passed"] and equivalence["identical"] else 1
+        print(json.dumps(reports[0] if len(reports) == 1 else reports,
+                         indent=2))
+        return 1 if failed else 0
+    rows = [["bench", "check", "value", "threshold", "result"]]
+    for report in reports:
+        for gate in report["gates"]:
+            rows.append([report["bench"], gate["name"],
+                         f"{gate['value']:.4g}", f"{gate['threshold']:.4g}",
+                         "pass" if gate["passed"] else "FAIL"])
+        rows.append([report["bench"], "equivalence", "", "",
+                     "clean" if report["equivalence"]["identical"]
+                     else "BROKEN"])
+    print(render_table(rows, title=f"Host-time benches (median of "
+                                   f"{bench.REPEATS} timed repeats)"))
+    return 1 if failed else 0
 
 
 def _cmd_report(args) -> int:
@@ -1063,6 +923,8 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .perf.bench import BENCHES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Remote Attestation for Low-End Embedded "
@@ -1197,43 +1059,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="do not fail on stale waivers/policy entries")
     p.set_defaults(fn=_cmd_analyze)
 
-    p = sub.add_parser("fleet-bench",
-                       help="sharded parallel fleet sweep vs sequential")
-    p.add_argument("--size", type=int, default=24,
-                   help="fleet size (default 24; the CI gate runs 256)")
-    p.add_argument("--ram-kb", type=int, default=256,
-                   help="per-member RAM in KB")
-    p.add_argument("--sweeps", type=int, default=2,
-                   help="timed sweeps per path")
-    p.add_argument("--workers", type=int, default=None,
-                   help="shard workers (default: REPRO_FLEET_WORKERS "
-                        "or the CPU count)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the machine-readable fleet report")
-    p.add_argument("--out", default=None,
-                   help="also write the JSON report to a file")
-    p.set_defaults(fn=_cmd_fleet_bench)
-
-    p = sub.add_parser("incremental-bench",
-                       help="dirty-region incremental sweeps vs full walks")
-    p.add_argument("--size", type=int, default=24,
-                   help="fleet size (default 24; the CI gate runs 256)")
-    p.add_argument("--ram-kb", type=int, default=256,
-                   help="per-member RAM in KB (flash sized to match)")
-    p.add_argument("--sweeps", type=int, default=2,
-                   help="timed update+sweep rounds per path")
-    p.add_argument("--dirty", type=float, action="append", default=None,
-                   metavar="FRACTION",
-                   help="dirty fraction to measure (repeatable; default "
-                        "0.02 0.05 0.10 0.25 0.50)")
-    p.add_argument("--chunk-size", type=int, default=4096,
-                   help="digest-tree leaf chunk size in bytes")
-    p.add_argument("--json", action="store_true",
-                   help="emit the machine-readable incremental report")
-    p.add_argument("--out", default=None,
-                   help="also write the JSON report to a file")
-    p.set_defaults(fn=_cmd_incremental_bench)
-
     p = sub.add_parser("serve",
                        help="multi-tenant verifier service over a schedule")
     p.add_argument("--devices", type=int, default=12,
@@ -1260,18 +1085,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit machine-readable state instead of a table")
     p.set_defaults(fn=_cmd_serve)
 
-    p = sub.add_parser("service-bench",
-                       help="verifier-service load benchmark + gates")
-    p.add_argument("--size", type=int, default=1024,
-                   help="devices in the burst load point")
-    p.add_argument("--tenants", type=int, default=4)
-    p.add_argument("--backends", type=int, default=8)
-    p.add_argument("--duty", type=float, default=0.01)
-    p.add_argument("--out", default=None,
-                   help="also write the JSON report to a file")
+    p = sub.add_parser("bench",
+                       help="host-time benches; writes BENCH_<name>.json")
+    p.add_argument("name", choices=(*BENCHES, "all"))
+    p.add_argument("--out", default=None, metavar="DIR",
+                   help="write BENCH_<name>.json into this directory")
     p.add_argument("--json", action="store_true",
-                   help="emit the machine-readable service report")
-    p.set_defaults(fn=_cmd_service_bench)
+                   help="print the report(s) as JSON")
+    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("report",
                        help="aggregate benchmark results into markdown")
@@ -1354,19 +1175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sweeps", type=int, default=64)
     p.set_defaults(fn=_cmd_snapshot_bisect)
 
-    p = sub.add_parser("snapshot-bench",
-                       help="delta checkpoints vs full snapshots under "
-                            "an OTA campaign")
-    p.add_argument("--size", type=int, default=256)
-    p.add_argument("--ram-kb", type=int, default=64)
-    p.add_argument("--rounds", type=int, default=2)
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--chunk-size", type=int, default=4096)
-    p.add_argument("--out", default=None,
-                   help="write the schema-validated JSON report here")
-    p.add_argument("--json", action="store_true",
-                   help="print the full report as JSON")
-    p.set_defaults(fn=_cmd_snapshot_bench)
     return parser
 
 

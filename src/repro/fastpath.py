@@ -10,30 +10,26 @@ The simulator separates two clocks that must never mix:
   scenarios re-run the 512 KB HMAC thousands of times.
 
 This module selects how the *host* executes measurement-heavy work.
-Three engines exist, all producing bit-identical digests and identical
+Two engines exist, both producing bit-identical digests and identical
 simulated accounting (``blocks_processed``, consumed cycles, telemetry):
 
 ``naive``
     The seed implementation: one Python-level compression call per
     64-byte block, per-chunk copied bus reads.  Kept as the reference
-    the fast paths are continuously checked against, and as the
-    baseline ``benchmarks/bench_wallclock.py`` reports speedups over.
-``pure``
-    Optimized pure Python: the unrolled batch compression core
-    (:func:`repro.crypto.sha1.compress_blocks`), zero-copy
-    ``memoryview`` streaming, HMAC pad-midstate caching, bulk memory
-    walks.
+    the fast path is continuously checked against, and as the baseline
+    ``repro bench wallclock`` reports speedups over.
 ``accel``
-    Everything ``pure`` does, but bulk SHA-1 compression is delegated
-    to :mod:`hashlib` (same FIPS 180-4 function, C speed).  This is the
-    default: the from-scratch compression function remains the
-    reference implementation, exercised by the ``naive``/``pure``
-    engines and the cross-check tests.
+    Bulk SHA-1 compression delegated to :mod:`hashlib` (same FIPS 180-4
+    function, C speed), zero-copy ``memoryview`` streaming, HMAC
+    pad-midstate caching and bulk memory walks.  This is the default:
+    the from-scratch compression function remains the reference
+    implementation, exercised by the ``naive`` engine and the
+    cross-check tests.
 
 Selection: the ``REPRO_FAST_PATH`` environment variable at import time
-(``0``/``off``/``naive``, ``1``/``pure``, ``2``/``on``/``accel``), or
-:func:`set_engine` / :func:`forced` at runtime.  See
-``docs/performance.md``.
+(``0``/``off``/``naive`` or ``2``/``on``/``accel``; any other value
+raises :class:`~repro.errors.ConfigurationError`), or :func:`set_engine`
+/ :func:`forced` at runtime.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -41,25 +37,37 @@ from __future__ import annotations
 import contextlib
 import os
 
+from .errors import ConfigurationError
+
 __all__ = ["ENGINES", "engine", "set_engine", "is_fast", "forced",
            "incremental_enabled", "set_incremental", "forced_incremental"]
 
-ENGINES = ("naive", "pure", "accel")
+ENGINES = ("naive", "accel")
 
 _ENV_VAR = "REPRO_FAST_PATH"
 
 _ALIASES = {
     "0": "naive", "off": "naive", "false": "naive", "no": "naive",
     "naive": "naive",
-    "1": "pure", "pure": "pure",
     "2": "accel", "on": "accel", "true": "accel", "yes": "accel",
     "accel": "accel", "": "accel",
 }
 
 
+def _env_choice(variable: str, default: str, choices: dict):
+    """The ``choices`` value named by ``variable``; an unknown value is a
+    configuration error, never a silent fallback."""
+    raw = os.environ.get(variable, default)
+    try:
+        return choices[raw.strip().lower()]
+    except KeyError:
+        raise ConfigurationError(
+            f"{variable}={raw!r} is not one of "
+            f"{sorted(key for key in choices if key)}") from None
+
+
 def _from_env() -> str:
-    raw = os.environ.get(_ENV_VAR, "accel").strip().lower()
-    return _ALIASES.get(raw, "accel")
+    return _env_choice(_ENV_VAR, "accel", _ALIASES)
 
 
 _engine = _from_env()
@@ -87,7 +95,7 @@ def set_engine(name: str) -> str:
 
 
 def is_fast() -> bool:
-    """Whether any fast path (``pure`` or ``accel``) is active."""
+    """Whether the fast path (``accel``) is active."""
     return _engine != "naive"
 
 
@@ -113,12 +121,14 @@ def forced(name: str):
 
 _INCR_ENV_VAR = "REPRO_INCREMENTAL"
 
-_INCR_FALSE = {"0", "off", "false", "no"}
+_INCR_ALIASES = {
+    "0": False, "off": False, "false": False, "no": False,
+    "1": True, "on": True, "true": True, "yes": True, "": True,
+}
 
 
 def _incremental_from_env() -> bool:
-    raw = os.environ.get(_INCR_ENV_VAR, "1").strip().lower()
-    return raw not in _INCR_FALSE
+    return _env_choice(_INCR_ENV_VAR, "1", _INCR_ALIASES)
 
 
 _incremental = _incremental_from_env()

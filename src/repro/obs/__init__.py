@@ -35,13 +35,10 @@ Attach a telemetry to a session at build time::
 """
 
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .schema import (ANALYSIS_SCHEMA, EVENT_SCHEMA, FLEET_SCHEMA,
-                     INCREMENTAL_SCHEMA, INVARIANT_NAMES, LINT_RULE_IDS,
-                     METRIC_NAMES, REGISTRY_SCHEMA, WALLCLOCK_SCHEMA,
+from .schema import (ANALYSIS_SCHEMA, EVENT_SCHEMA, INVARIANT_NAMES,
+                     LINT_RULE_IDS, METRIC_NAMES, REGISTRY_SCHEMA,
                      validate_analysis_report, validate_event,
-                     validate_fleet_report, validate_incremental_report,
-                     validate_jsonl_trace, validate_registry_dump,
-                     validate_wallclock_report)
+                     validate_jsonl_trace, validate_registry_dump)
 from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 from .trace import EVENT_KINDS, EventTrace, TraceEvent
 
@@ -49,10 +46,8 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "EVENT_KINDS", "EventTrace", "TraceEvent",
     "NULL_TELEMETRY", "NullTelemetry", "Telemetry",
-    "ANALYSIS_SCHEMA", "EVENT_SCHEMA", "FLEET_SCHEMA", "INCREMENTAL_SCHEMA",
-    "REGISTRY_SCHEMA", "WALLCLOCK_SCHEMA", "INVARIANT_NAMES",
+    "ANALYSIS_SCHEMA", "EVENT_SCHEMA", "REGISTRY_SCHEMA", "INVARIANT_NAMES",
     "LINT_RULE_IDS", "METRIC_NAMES",
-    "validate_analysis_report", "validate_event", "validate_fleet_report",
-    "validate_incremental_report", "validate_jsonl_trace",
-    "validate_registry_dump", "validate_wallclock_report",
+    "validate_analysis_report", "validate_event", "validate_jsonl_trace",
+    "validate_registry_dump",
 ]

@@ -19,22 +19,16 @@ from __future__ import annotations
 
 import json
 
-from ..fastpath import ENGINES
 from .trace import EVENT_KINDS
 
-__all__ = ["EVENT_SCHEMA", "REGISTRY_SCHEMA", "WALLCLOCK_SCHEMA",
-           "ANALYSIS_SCHEMA", "FLEET_SCHEMA", "INCREMENTAL_SCHEMA",
-           "SERVICE_SCHEMA", "SNAPSHOT_SCHEMA", "SNAPSHOT_SCHEMA_ID",
+__all__ = ["EVENT_SCHEMA", "REGISTRY_SCHEMA", "ANALYSIS_SCHEMA",
+           "SNAPSHOT_SCHEMA", "SNAPSHOT_SCHEMA_ID",
            "SNAPSHOT_DELTA_SCHEMA", "SNAPSHOT_DELTA_SCHEMA_ID",
-           "SNAPSHOT_BENCH_SCHEMA",
            "METRIC_NAMES", "INVARIANT_NAMES", "LINT_RULE_IDS",
            "TAINT_RULE_IDS",
            "validate_event", "validate_jsonl_trace",
-           "validate_registry_dump", "validate_wallclock_report",
-           "validate_analysis_report", "validate_fleet_report",
-           "validate_incremental_report", "validate_service_report",
-           "validate_snapshot", "validate_snapshot_delta",
-           "validate_snapshot_report"]
+           "validate_registry_dump", "validate_analysis_report",
+           "validate_snapshot", "validate_snapshot_delta"]
 
 #: The closed vocabulary of metric (counter/gauge/histogram) names the
 #: instrumentation may emit.  `repro.analysis.lint` rule TEL001 checks
@@ -162,325 +156,6 @@ _METRIC_SCHEMA = {
 }
 
 _HISTOGRAM_REQUIRED = ("buckets", "bucket_counts", "overflow", "count", "sum")
-
-#: Schema of the host wall-clock benchmark report
-#: (``BENCH_wallclock.json`` at the repository root, written by
-#: ``benchmarks/bench_wallclock.py``; see ``docs/performance.md``).
-WALLCLOCK_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "engine_default", "sweep", "naive_baseline",
-                 "speedup", "hmac_cache", "equivalence"],
-    "properties": {
-        "schema": {"type": "string",
-                   "enum": ["repro.perf.wallclock/v1"]},
-        "engine_default": {"type": "string", "enum": sorted(ENGINES)},
-        "sweep": {"type": "array"},
-        "naive_baseline": {"type": "object"},
-        "speedup": {"type": "object"},
-        "hmac_cache": {"type": "object"},
-        "equivalence": {"type": "object"},
-    },
-}
-
-#: Schema of one measurement-sweep entry inside the wall-clock report.
-_SWEEP_ENTRY_SCHEMA = {
-    "type": "object",
-    "required": ["ram_kb", "writable_kb", "engine", "seconds", "mb_per_s",
-                 "digest"],
-    "properties": {
-        "ram_kb": {"type": "integer", "minimum": 1},
-        "writable_kb": {"type": "integer", "minimum": 1},
-        "engine": {"type": "string", "enum": sorted(ENGINES)},
-        "seconds": {"type": "number", "minimum": 0},
-        "mb_per_s": {"type": "number", "minimum": 0},
-        "digest": {"type": "string"},
-    },
-}
-
-_SPEEDUP_SCHEMA = {
-    "type": "object",
-    "required": ["ram_kb", "naive_seconds", "fast_seconds", "factor"],
-    "properties": {
-        "ram_kb": {"type": "integer", "minimum": 1},
-        "naive_seconds": {"type": "number", "minimum": 0},
-        "fast_seconds": {"type": "number", "minimum": 0},
-        "factor": {"type": "number", "minimum": 0},
-    },
-}
-
-_EQUIVALENCE_SCHEMA = {
-    "type": "object",
-    "required": ["ram_kb", "rounds", "identical", "engines"],
-    "properties": {
-        "ram_kb": {"type": "integer", "minimum": 1},
-        "rounds": {"type": "integer", "minimum": 1},
-        "identical": {"type": "boolean"},
-        "engines": {"type": "object"},
-    },
-}
-
-#: Schema of the fleet throughput benchmark report
-#: (``BENCH_fleet.json`` at the repository root, written by
-#: ``benchmarks/bench_fleet_operations.py``; see ``docs/fleet-scale.md``).
-FLEET_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "fleet_size", "workers", "sweeps", "sequential",
-                 "parallel", "speedup", "spinup", "cache", "equivalence"],
-    "properties": {
-        "schema": {"type": "string", "enum": ["repro.perf.fleet/v1"]},
-        "fleet_size": {"type": "integer", "minimum": 1},
-        "ram_kb": {"type": "integer", "minimum": 1},
-        "workers": {"type": "integer", "minimum": 1},
-        "sweeps": {"type": "integer", "minimum": 1},
-        "host": {"type": "object"},
-        "sequential": {"type": "object"},
-        "parallel": {"type": "object"},
-        "speedup": {"type": "number", "minimum": 0},
-        "spinup": {"type": "object"},
-        "cache": {"type": "object"},
-        "reports_identical": {"type": "boolean"},
-        "equivalence": {"type": "object"},
-    },
-}
-
-#: Schema of one timing block (sequential or parallel) in the fleet
-#: report.
-_FLEET_TIMING_SCHEMA = {
-    "type": "object",
-    "required": ["spinup_seconds", "sweep_seconds", "devices_per_second",
-                 "attempted", "trusted"],
-    "properties": {
-        "spinup_seconds": {"type": "number", "minimum": 0},
-        "sweep_seconds": {"type": "number", "minimum": 0},
-        "devices_per_second": {"type": "number", "minimum": 0},
-        "attempted": {"type": "integer", "minimum": 0},
-        "trusted": {"type": "integer", "minimum": 0},
-    },
-}
-
-_FLEET_SPINUP_SCHEMA = {
-    "type": "object",
-    "required": ["sequential_seconds", "parallel_seconds", "factor"],
-    "properties": {
-        "sequential_seconds": {"type": "number", "minimum": 0},
-        "parallel_seconds": {"type": "number", "minimum": 0},
-        "factor": {"type": "number", "minimum": 0},
-        "cached_inprocess_seconds": {"type": "number", "minimum": 0},
-        "cached_factor": {"type": "number", "minimum": 0},
-    },
-}
-
-_FLEET_CACHE_SCHEMA = {
-    "type": "object",
-    "required": ["hits", "misses", "entries"],
-    "properties": {
-        "hits": {"type": "integer", "minimum": 0},
-        "misses": {"type": "integer", "minimum": 0},
-        "entries": {"type": "integer", "minimum": 0},
-    },
-}
-
-_FLEET_EQUIVALENCE_SCHEMA = {
-    "type": "object",
-    "required": ["fleet_size", "workers", "sweeps", "identical",
-                 "mismatched_fields"],
-    "properties": {
-        "fleet_size": {"type": "integer", "minimum": 1},
-        "workers": {"type": "integer", "minimum": 2},
-        "sweeps": {"type": "integer", "minimum": 1},
-        "identical": {"type": "boolean"},
-        "mismatched_fields": {"type": "array"},
-    },
-}
-
-#: Schema of the incremental-attestation benchmark report
-#: (``BENCH_incremental.json`` at the repository root, written by
-#: ``benchmarks/bench_incremental.py``; see ``docs/performance.md``).
-INCREMENTAL_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "fleet_size", "ram_kb", "writable_kb", "sweeps",
-                 "chunk_size", "arity", "points", "gate", "equivalence"],
-    "properties": {
-        "schema": {"type": "string",
-                   "enum": ["repro.perf.incremental/v1"]},
-        "fleet_size": {"type": "integer", "minimum": 1},
-        "ram_kb": {"type": "integer", "minimum": 1},
-        "writable_kb": {"type": "integer", "minimum": 1},
-        "sweeps": {"type": "integer", "minimum": 1},
-        "chunk_size": {"type": "integer", "minimum": 1},
-        "arity": {"type": "integer", "minimum": 2},
-        "host": {"type": "object"},
-        "points": {"type": "array"},
-        "gate": {"type": "object"},
-        "equivalence": {"type": "object"},
-    },
-}
-
-#: Schema of one dirty-fraction measurement point in the incremental
-#: report.
-_INCREMENTAL_POINT_SCHEMA = {
-    "type": "object",
-    "required": ["dirty_fraction", "dirty_kb", "full_seconds",
-                 "incremental_seconds", "speedup"],
-    "properties": {
-        "dirty_fraction": {"type": "number", "minimum": 0},
-        "dirty_kb": {"type": "integer", "minimum": 0},
-        "full_seconds": {"type": "number", "minimum": 0},
-        "incremental_seconds": {"type": "number", "minimum": 0},
-        "speedup": {"type": "number", "minimum": 0},
-        "full_cache": {"type": "object"},
-        "incremental_cache": {"type": "object"},
-        "tree": {"type": "object"},
-    },
-}
-
-_INCREMENTAL_GATE_SCHEMA = {
-    "type": "object",
-    "required": ["dirty_fraction", "speedup", "threshold", "passed"],
-    "properties": {
-        "dirty_fraction": {"type": "number", "minimum": 0},
-        "speedup": {"type": "number", "minimum": 0},
-        "threshold": {"type": "number", "minimum": 0},
-        "passed": {"type": "boolean"},
-    },
-}
-
-_INCREMENTAL_EQUIVALENCE_SCHEMA = {
-    "type": "object",
-    "required": ["identical", "scenarios"],
-    "properties": {
-        "identical": {"type": "boolean"},
-        "scenarios": {"type": "object"},
-    },
-}
-
-
-#: Schema of the delta-checkpoint benchmark report
-#: (``BENCH_snapshot.json`` at the repository root, written by
-#: ``benchmarks/bench_snapshot.py``; see ``docs/checkpoint.md``).
-SNAPSHOT_BENCH_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "fleet_size", "ram_kb", "workers", "rounds",
-                 "chunk_size", "points", "gate", "equivalence"],
-    "properties": {
-        "schema": {"type": "string",
-                   "enum": ["repro.perf.snapshot/v1"]},
-        "fleet_size": {"type": "integer", "minimum": 1},
-        "ram_kb": {"type": "integer", "minimum": 1},
-        "workers": {"type": "integer", "minimum": 1},
-        "rounds": {"type": "integer", "minimum": 1},
-        "chunk_size": {"type": "integer", "minimum": 1},
-        "host": {"type": "object"},
-        "points": {"type": "array"},
-        "gate": {"type": "object"},
-        "equivalence": {"type": "object"},
-    },
-}
-
-#: Schema of one dirty-fraction measurement point in the snapshot
-#: report.
-_SNAPSHOT_POINT_SCHEMA = {
-    "type": "object",
-    "required": ["dirty_fraction", "shared_content", "full_seconds",
-                 "delta_seconds", "speedup", "full_bytes", "delta_bytes",
-                 "bytes_reduction", "chain_identical"],
-    "properties": {
-        "dirty_fraction": {"type": "number", "minimum": 0},
-        "shared_content": {"type": "boolean"},
-        "full_seconds": {"type": "number", "minimum": 0},
-        "delta_seconds": {"type": "number", "minimum": 0},
-        "speedup": {"type": "number", "minimum": 0},
-        "full_bytes": {"type": "integer", "minimum": 0},
-        "delta_bytes": {"type": "integer", "minimum": 0},
-        "bytes_reduction": {"type": "number", "minimum": 0},
-        "chain_identical": {"type": "boolean"},
-    },
-}
-
-_SNAPSHOT_GATE_SCHEMA = {
-    "type": "object",
-    "required": ["dirty_fraction", "speedup", "speedup_threshold",
-                 "bytes_reduction", "bytes_threshold", "passed"],
-    "properties": {
-        "dirty_fraction": {"type": "number", "minimum": 0},
-        "speedup": {"type": "number", "minimum": 0},
-        "speedup_threshold": {"type": "number", "minimum": 0},
-        "bytes_reduction": {"type": "number", "minimum": 0},
-        "bytes_threshold": {"type": "number", "minimum": 0},
-        "passed": {"type": "boolean"},
-    },
-}
-
-_SNAPSHOT_EQUIVALENCE_SCHEMA = {
-    "type": "object",
-    "required": ["identical", "mismatched_fields"],
-    "properties": {
-        "identical": {"type": "boolean"},
-        "mismatched_fields": {"type": "array"},
-    },
-}
-
-
-#: Schema of the verifier-service load benchmark report
-#: (``BENCH_service.json`` at the repository root, written by
-#: ``benchmarks/bench_service.py``; see ``docs/service.md``).
-SERVICE_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "size", "tenants", "backends", "duty_fraction",
-                 "points", "gate", "equivalence"],
-    "properties": {
-        "schema": {"type": "string", "enum": ["repro.perf.service/v1"]},
-        "size": {"type": "integer", "minimum": 1},
-        "tenants": {"type": "integer", "minimum": 1},
-        "backends": {"type": "integer", "minimum": 1},
-        "duty_fraction": {"type": "number", "minimum": 0},
-        "host": {"type": "object"},
-        "points": {"type": "array"},
-        "gate": {"type": "object"},
-        "equivalence": {"type": "object"},
-    },
-}
-
-#: Schema of one offered-load point in the service report.
-_SERVICE_POINT_SCHEMA = {
-    "type": "object",
-    "required": ["offered", "admitted", "rejected", "peak_in_flight",
-                 "sessions_per_second", "p50_latency_ms", "p99_latency_ms",
-                 "wall_seconds"],
-    "properties": {
-        "offered": {"type": "integer", "minimum": 0},
-        "admitted": {"type": "integer", "minimum": 0},
-        "rejected": {"type": "integer", "minimum": 0},
-        "peak_in_flight": {"type": "integer", "minimum": 0},
-        "sessions_per_second": {"type": "number", "minimum": 0},
-        "p50_latency_ms": {"type": "number", "minimum": 0},
-        "p99_latency_ms": {"type": "number", "minimum": 0},
-        "wall_seconds": {"type": "number", "minimum": 0},
-        "waves": {"type": "integer", "minimum": 1},
-        "workers": {"type": "integer", "minimum": 1},
-    },
-}
-
-_SERVICE_GATE_SCHEMA = {
-    "type": "object",
-    "required": ["max_peak_in_flight", "required_in_flight", "passed"],
-    "properties": {
-        "max_peak_in_flight": {"type": "integer", "minimum": 0},
-        "required_in_flight": {"type": "integer", "minimum": 0},
-        "passed": {"type": "boolean"},
-    },
-}
-
-_SERVICE_EQUIVALENCE_SCHEMA = {
-    "type": "object",
-    "required": ["workers", "identical", "mismatched_fields"],
-    "properties": {
-        "workers": {"type": "integer", "minimum": 1},
-        "identical": {"type": "boolean"},
-        "mismatched_fields": {"type": "array"},
-    },
-}
-
 
 #: Version identifier of checkpoint/restore snapshot documents
 #: (see ``repro.snapshot`` and ``docs/checkpoint.md``).
@@ -739,120 +414,6 @@ def validate_registry_dump(dump: dict) -> list[str]:
     return errors
 
 
-def validate_wallclock_report(report: dict) -> list[str]:
-    """Validate a decoded ``BENCH_wallclock.json`` report object.
-
-    Checks the report envelope, every sweep entry, the naive baseline,
-    the speedup and equivalence blocks.  Shape only -- whether the
-    equivalence block is *clean* (``identical: true``) is policy, and
-    ``scripts/perf_smoke.py`` enforces it separately.
-    """
-    errors = _check(report, WALLCLOCK_SCHEMA, "wallclock")
-    if not isinstance(report, dict):
-        return errors
-    for index, entry in enumerate(report.get("sweep", [])
-                                  if isinstance(report.get("sweep"), list)
-                                  else []):
-        errors.extend(_check(entry, _SWEEP_ENTRY_SCHEMA,
-                             f"wallclock.sweep[{index}]"))
-    if "naive_baseline" in report:
-        errors.extend(_check(report["naive_baseline"], _SWEEP_ENTRY_SCHEMA,
-                             "wallclock.naive_baseline"))
-        baseline = report["naive_baseline"]
-        if isinstance(baseline, dict) and baseline.get("engine") not in (
-                None, "naive"):
-            errors.append("wallclock.naive_baseline: engine must be 'naive'")
-    if "speedup" in report:
-        errors.extend(_check(report["speedup"], _SPEEDUP_SCHEMA,
-                             "wallclock.speedup"))
-    if "equivalence" in report:
-        errors.extend(_check(report["equivalence"], _EQUIVALENCE_SCHEMA,
-                             "wallclock.equivalence"))
-    return errors
-
-
-def validate_fleet_report(report: dict) -> list[str]:
-    """Validate a decoded ``BENCH_fleet.json`` report object.
-
-    Checks the envelope, both timing blocks, the spin-up and cache
-    blocks and the parallel-vs-sequential equivalence block.  Shape
-    only -- whether the equivalence block is *clean* and the speedup
-    meets the >=2x gate is policy, enforced by the benchmark itself and
-    ``scripts/fleet_smoke.py``.
-    """
-    errors = _check(report, FLEET_SCHEMA, "fleet")
-    if not isinstance(report, dict):
-        return errors
-    for key in ("sequential", "parallel"):
-        if isinstance(report.get(key), dict):
-            errors.extend(_check(report[key], _FLEET_TIMING_SCHEMA,
-                                 f"fleet.{key}"))
-    if isinstance(report.get("spinup"), dict):
-        errors.extend(_check(report["spinup"], _FLEET_SPINUP_SCHEMA,
-                             "fleet.spinup"))
-    if isinstance(report.get("cache"), dict):
-        errors.extend(_check(report["cache"], _FLEET_CACHE_SCHEMA,
-                             "fleet.cache"))
-    if isinstance(report.get("equivalence"), dict):
-        errors.extend(_check(report["equivalence"],
-                             _FLEET_EQUIVALENCE_SCHEMA,
-                             "fleet.equivalence"))
-    return errors
-
-
-def validate_incremental_report(report: dict) -> list[str]:
-    """Validate a decoded ``BENCH_incremental.json`` report object.
-
-    Checks the envelope, every dirty-fraction point, the speedup gate
-    and the equivalence block.  Shape only -- whether the gate *passed*
-    and the equivalence block is clean is policy, enforced by the
-    benchmark itself and ``scripts/incremental_smoke.py``.
-    """
-    errors = _check(report, INCREMENTAL_SCHEMA, "incremental")
-    if not isinstance(report, dict):
-        return errors
-    points = report.get("points")
-    for index, point in enumerate(points
-                                  if isinstance(points, list) else []):
-        errors.extend(_check(point, _INCREMENTAL_POINT_SCHEMA,
-                             f"incremental.points[{index}]"))
-    if isinstance(report.get("gate"), dict):
-        errors.extend(_check(report["gate"], _INCREMENTAL_GATE_SCHEMA,
-                             "incremental.gate"))
-    if isinstance(report.get("equivalence"), dict):
-        errors.extend(_check(report["equivalence"],
-                             _INCREMENTAL_EQUIVALENCE_SCHEMA,
-                             "incremental.equivalence"))
-    return errors
-
-
-def validate_service_report(report: dict) -> list[str]:
-    """Validate a decoded ``BENCH_service.json`` report object.
-
-    Checks the envelope, every offered-load point, the concurrency gate
-    and the serviced-vs-sequential equivalence block.  Shape only --
-    whether the gate *passed* and the equivalence block is clean is
-    policy, enforced by the benchmark itself and
-    ``scripts/service_smoke.py``.
-    """
-    errors = _check(report, SERVICE_SCHEMA, "service")
-    if not isinstance(report, dict):
-        return errors
-    points = report.get("points")
-    for index, point in enumerate(points
-                                  if isinstance(points, list) else []):
-        errors.extend(_check(point, _SERVICE_POINT_SCHEMA,
-                             f"service.points[{index}]"))
-    if isinstance(report.get("gate"), dict):
-        errors.extend(_check(report["gate"], _SERVICE_GATE_SCHEMA,
-                             "service.gate"))
-    if isinstance(report.get("equivalence"), dict):
-        errors.extend(_check(report["equivalence"],
-                             _SERVICE_EQUIVALENCE_SCHEMA,
-                             "service.equivalence"))
-    return errors
-
-
 def validate_snapshot(document: dict) -> list[str]:
     """Validate a decoded ``repro.snapshot/v1`` envelope.
 
@@ -914,32 +475,6 @@ def validate_snapshot_delta(document: dict) -> list[str]:
                 errors.append(f"snapshot-delta.state: missing required "
                               f"key {key!r} for kind "
                               f"{document['kind']!r}")
-    return errors
-
-
-def validate_snapshot_report(report: dict) -> list[str]:
-    """Validate a decoded ``BENCH_snapshot.json`` report object.
-
-    Checks the envelope, every dirty-fraction point, the speedup/bytes
-    gate and the delta-chain equivalence block.  Shape only -- whether
-    the gate *passed* and the equivalence block is clean is policy,
-    enforced by the benchmark itself and ``scripts/delta_smoke.py``.
-    """
-    errors = _check(report, SNAPSHOT_BENCH_SCHEMA, "snapshot")
-    if not isinstance(report, dict):
-        return errors
-    points = report.get("points")
-    for index, point in enumerate(points
-                                  if isinstance(points, list) else []):
-        errors.extend(_check(point, _SNAPSHOT_POINT_SCHEMA,
-                             f"snapshot.points[{index}]"))
-    if isinstance(report.get("gate"), dict):
-        errors.extend(_check(report["gate"], _SNAPSHOT_GATE_SCHEMA,
-                             "snapshot.gate"))
-    if isinstance(report.get("equivalence"), dict):
-        errors.extend(_check(report["equivalence"],
-                             _SNAPSHOT_EQUIVALENCE_SCHEMA,
-                             "snapshot.equivalence"))
     return errors
 
 

@@ -1,21 +1,10 @@
-"""Host wall-clock performance harness.
+"""Host wall-clock performance benches.
 
 Everything in this package measures *host* time -- how long the Python
-process takes to execute simulated work -- never simulated time.  The
-two clocks are strictly separated: optimizations selected through
-:mod:`repro.fastpath` may change host time only, and
-:func:`repro.perf.wallclock.equivalence_check` continuously proves that
-digests, MACs, consumed cycles and telemetry are byte-identical across
-engines.  See ``docs/performance.md``.
+process takes to execute simulated work -- never simulated time.
+:mod:`repro.perf.bench` is the one core that times, gates, checks and
+writes every ``BENCH_<name>.json``; ``wallclock``, ``fleet``,
+``incremental``, ``service`` and ``snapshot`` are declarations on it,
+each proving with its own ``equivalence_check`` that the fast path
+changes no simulated output.  See ``docs/performance.md``.
 """
-
-from . import fleet
-from .fleet import FleetEngine, FleetSpec
-from .wallclock import (REPORT_SCHEMA_ID, build_report, equivalence_check,
-                        hmac_cache_timing, time_measurement, write_report)
-
-__all__ = [
-    "REPORT_SCHEMA_ID", "build_report", "equivalence_check",
-    "hmac_cache_timing", "time_measurement", "write_report",
-    "fleet", "FleetEngine", "FleetSpec",
-]

@@ -35,9 +35,10 @@ is detected exactly as on the seed path.
 ``workers=1`` (or ``REPRO_FLEET_WORKERS=1``) falls back to one plain
 in-process ``Swarm`` -- the uncached sequential seed path that
 :func:`equivalence_check` and ``BENCH_fleet.json``'s gate compare
-against.  Everything here measures *host* time; simulated time lives in
-the shard swarms and is part of the equivalence invariant, never a
-knob.  See ``docs/fleet-scale.md``.
+against (:func:`run`, a declaration on :mod:`repro.perf.bench`).
+Everything here changes only *host* time; simulated time lives in the
+shard swarms and is part of the equivalence invariant, never a knob.
+See ``docs/fleet-scale.md``.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import pathlib
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -59,14 +58,15 @@ from ..mcu.statecache import StateDigestCache
 from ..net.faults import BernoulliLoss, FaultPipeline, LatencyJitter
 from ..obs.registry import MetricsRegistry
 from ..services.swarm import Swarm, SweepReport, fold_outcomes
-from .wallclock import host_info
+from . import bench
 
-__all__ = ["REPORT_SCHEMA_ID", "WORKERS_ENV", "FleetSpec", "FleetEngine",
+__all__ = ["WORKERS_ENV", "GATE_THRESHOLD", "FleetSpec", "FleetEngine",
            "partition", "resolve_workers", "lossy_link",
-           "default_equivalence_spec", "equivalence_check", "build_report",
-           "write_report"]
+           "default_equivalence_spec", "equivalence_check", "run"]
 
-REPORT_SCHEMA_ID = "repro.perf.fleet/v1"
+#: The headline gate: the engine must sweep >= GATE_THRESHOLD x faster
+#: than the sequential seed path (declared at fleet size 256).
+GATE_THRESHOLD = 2.0
 
 #: Environment override for the worker count (CLI/bench default source).
 WORKERS_ENV = "REPRO_FLEET_WORKERS"
@@ -276,7 +276,6 @@ class FleetEngine:
     def __init__(self, spec: FleetSpec, *, workers: int | None = None):
         self.spec = spec
         self.workers = resolve_workers(workers, size=spec.size)
-        self.spinup_seconds: float | None = None
         self.sweeps_run = 0
         self._swarm: Swarm | None = None
         self._executors: list[ProcessPoolExecutor] | None = None
@@ -284,10 +283,9 @@ class FleetEngine:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> "FleetEngine":
-        """Spin the fleet up (idempotent); records ``spinup_seconds``."""
+        """Spin the fleet up (idempotent)."""
         if self._swarm is not None or self._executors is not None:
             return self
-        begin = time.perf_counter()
         if self.workers == 1:
             self._swarm = self.spec.build()
         else:
@@ -307,7 +305,6 @@ class FleetEngine:
                 raise ConfigurationError(
                     f"shards built {built} members, expected "
                     f"{self.spec.size}")
-        self.spinup_seconds = time.perf_counter() - begin
         return self
 
     def close(self) -> None:
@@ -610,98 +607,75 @@ def _bench_spec(fleet_size: int, ram_kb: int) -> FleetSpec:
         seed="fleet-bench")
 
 
-def build_report(*, fleet_size: int = 256, ram_kb: int = 1024,
-                 sweeps: int = 2, workers: int | None = None,
-                 equivalence_size: int = 6) -> dict:
-    """Assemble the full ``BENCH_fleet.json`` payload.
+def _spinup(engine: FleetEngine) -> None:
+    engine.start()
+    engine.close()
 
-    Times spin-up and ``sweeps`` full sweeps on the sequential seed path
-    (one plain uncached ``Swarm``) and on a sharded cached
-    :class:`FleetEngine`, refuses to report if their sweep reports
-    differ, and embeds a fault-injected :func:`equivalence_check` block.
-    ``speedup`` is the headline sequential/parallel sweep wall-clock
-    ratio the benchmark gate asserts ``>= 2`` at fleet size >= 256.
 
-    The parallel engine runs first: shard workers fork before the big
-    sequential swarm exists, so copy-on-write faults over the parent
-    heap do not tax shard spin-up.
+def run(*, fleet_size: int = 256, ram_kb: int = 1024, sweeps: int = 2,
+        workers: int | None = None, equivalence_size: int = 6) -> dict:
+    """The ``BENCH_fleet.json`` report.
+
+    Times spin-up (sharded engine, in-process with one shared
+    ``StateDigestCache``, and the sequential seed path) and blocks of
+    ``sweeps`` full sweeps on the sharded cached :class:`FleetEngine`
+    and on the sequential seed path (one plain uncached ``Swarm``).
+    The warm-up blocks' sweep reports must agree, and its cache
+    counters are the reported ones, so they read exactly
+    ``(fleet_size - workers) + sweeps * fleet_size`` hits whatever the
+    repeat count.  Gate: the sweep speedup at the median must reach
+    ``GATE_THRESHOLD``.
+
+    The engine runs first: shard workers fork before the big sequential
+    swarm exists, so copy-on-write faults over the parent heap do not
+    tax shard spin-up.
     """
     resolved = resolve_workers(workers, size=fleet_size)
     resolved = max(2, min(resolved, fleet_size))
     spec = _bench_spec(fleet_size, ram_kb)
+    seconds = {"parallel_spinup": bench.time_block(
+        lambda: _spinup(FleetEngine(spec, workers=resolved)))}
+
+    def sweep_block(fleet, cache_stats):
+        def body(lap):
+            with lap():
+                reports = [fleet.sweep() for _ in range(sweeps)]
+            return reports, cache_stats()
+        results, laps = bench.sample(body)
+        return results[0], laps["block"]
 
     with FleetEngine(spec, workers=resolved) as engine:
-        engine.start()
-        par_spinup = engine.spinup_seconds
-        par_reports = []
-        begin = time.perf_counter()
-        for _ in range(sweeps):
-            par_reports.append(engine.sweep())
-        par_sweep = time.perf_counter() - begin
-        cache = engine.cache_stats()
+        (par_reports, cache), seconds["parallel_sweep"] = sweep_block(
+            engine, engine.cache_stats)
 
-    # The cache's spin-up win, isolated from process-pool overhead: one
-    # in-process build sharing a single StateDigestCache. Measured
-    # before the sequential fleet exists so both spin-up timings run
+    # The cache's spin-up win without process-pool overhead, measured
+    # before the sequential fleet exists so every spin-up timing runs
     # against the same (near-empty) heap.
-    begin = time.perf_counter()
-    spec.build(state_cache=StateDigestCache())
-    cached_spinup = time.perf_counter() - begin
-
-    begin = time.perf_counter()
+    seconds["cached_spinup"] = bench.time_block(
+        lambda: spec.build(state_cache=StateDigestCache()))
+    seconds["sequential_spinup"] = bench.time_block(spec.build)
     sequential = spec.build()
-    seq_spinup = time.perf_counter() - begin
-    seq_reports = []
-    begin = time.perf_counter()
-    for _ in range(sweeps):
-        seq_reports.append(sequential.sweep())
-    seq_sweep = time.perf_counter() - begin
+    (seq_reports, _), seconds["sequential_sweep"] = sweep_block(
+        sequential, lambda: None)
     del sequential
-
-    if seq_reports != par_reports:
-        raise AssertionError(
-            "parallel sweep reports diverged from the sequential seed "
-            "path -- refusing to write a perf report")
 
     equivalence = equivalence_check(
         default_equivalence_spec(equivalence_size), workers=2, sweeps=2)
-    return {
-        "schema": REPORT_SCHEMA_ID,
-        "fleet_size": fleet_size,
-        "ram_kb": ram_kb,
-        "workers": resolved,
-        "sweeps": sweeps,
-        "host": {**host_info(), "cpus": os.cpu_count() or 1},
-        "sequential": {
-            "spinup_seconds": seq_spinup,
-            "sweep_seconds": seq_sweep,
-            "devices_per_second": fleet_size * sweeps / seq_sweep,
-            "attempted": seq_reports[-1].attempted,
-            "trusted": seq_reports[-1].trusted,
-        },
-        "parallel": {
-            "spinup_seconds": par_spinup,
-            "sweep_seconds": par_sweep,
-            "devices_per_second": fleet_size * sweeps / par_sweep,
-            "attempted": par_reports[-1].attempted,
-            "trusted": par_reports[-1].trusted,
-        },
-        "speedup": seq_sweep / par_sweep,
-        "spinup": {
-            "sequential_seconds": seq_spinup,
-            "parallel_seconds": par_spinup,
-            "factor": seq_spinup / par_spinup,
-            "cached_inprocess_seconds": cached_spinup,
-            "cached_factor": seq_spinup / cached_spinup,
-        },
-        "cache": cache,
-        "reports_identical": True,
-        "equivalence": equivalence,
-    }
-
-
-def write_report(report: dict, path):
-    """Write ``report`` as indented JSON; returns the path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-    return path
+    if seq_reports != par_reports:
+        equivalence["mismatched_fields"].append("bench_sweep_reports")
+        equivalence["identical"] = False
+    speedup = bench.ratio(seconds["sequential_sweep"],
+                          seconds["parallel_sweep"])
+    return bench.report(
+        "fleet",
+        params={"fleet_size": fleet_size, "ram_kb": ram_kb,
+                "workers": resolved, "sweeps": sweeps},
+        points=[{"attempted": par_reports[-1].attempted,
+                 "trusted": par_reports[-1].trusted,
+                 "cache": cache, "seconds": seconds,
+                 "speedup": speedup,
+                 "spinup_cache_factor": bench.ratio(
+                     seconds["sequential_spinup"],
+                     seconds["cached_spinup"])}],
+        gates=[bench.gate("sweep_speedup", speedup, GATE_THRESHOLD)],
+        equivalence=equivalence)

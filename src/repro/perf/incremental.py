@@ -15,11 +15,12 @@ Three artefacts come out of this module:
 
 * :func:`measure_point` -- paired full/incremental sweep timings at one
   dirty fraction, with the sweep reports, attestation counts and
-  simulated cycle totals asserted byte-identical between the paths;
-* :func:`equivalence_check` -- the PR 5-style gate across honest,
-  faulted and planted-compromise fleets;
-* :func:`build_report` -- the schema-validated ``BENCH_incremental.json``
-  payload with the headline >= 3x wall-clock gate at <= 10% dirty.
+  simulated cycle totals compared byte for byte between the paths;
+* :func:`equivalence_check` -- the fleet-engine-style gate across
+  honest, faulted and planted-compromise fleets;
+* :func:`run` -- the ``BENCH_incremental.json`` declaration on
+  :mod:`repro.perf.bench`, with the headline >= 3x wall-clock gate at
+  <= 10% dirty.
 
 Everything timed here is *host* time; the simulated Table 1 numbers are
 part of the equivalence invariant, never a knob.  See
@@ -28,9 +29,8 @@ part of the equivalence invariant, never a knob.  See
 
 from __future__ import annotations
 
+import itertools
 import json
-import pathlib
-import time
 
 from ..core.resilience import RetryPolicy
 from ..crypto.rng import DeterministicRng
@@ -40,16 +40,13 @@ from ..incremental import DEFAULT_ARITY, DEFAULT_CHUNK_SIZE
 from ..mcu.device import DeviceConfig
 from ..mcu.statecache import StateDigestCache
 from ..services.swarm import Swarm
+from . import bench
 from .fleet import lossy_link
-from .wallclock import host_info
 
-__all__ = ["REPORT_SCHEMA_ID", "DEFAULT_DIRTY_FRACTIONS",
-           "GATE_DIRTY_FRACTION", "GATE_THRESHOLD", "build_swarm",
-           "apply_update", "learn_update", "scenario_fingerprint",
-           "measure_point",
-           "equivalence_check", "build_report", "write_report"]
-
-REPORT_SCHEMA_ID = "repro.perf.incremental/v1"
+__all__ = ["DEFAULT_DIRTY_FRACTIONS", "GATE_DIRTY_FRACTION",
+           "GATE_THRESHOLD", "build_swarm", "apply_update", "learn_update",
+           "scenario_fingerprint", "measure_point", "equivalence_check",
+           "run"]
 
 #: Dirty fractions of the default benchmark sweep.
 DEFAULT_DIRTY_FRACTIONS = (0.02, 0.05, 0.10, 0.25, 0.50)
@@ -239,7 +236,7 @@ def equivalence_check(*, size: int = 6, sweeps: int = 3,
     retry = RetryPolicy(attempt_timeout_seconds=5.0, max_retries=2,
                         base_backoff_seconds=1.0, jitter_fraction=0.5)
     scenarios: dict[str, dict] = {}
-    identical = True
+    failed: list[str] = []
     plant = size - 1
     for name, kwargs, drive_kwargs in (
             ("honest", {}, {"dirty_fraction": dirty_fraction}),
@@ -269,29 +266,32 @@ def equivalence_check(*, size: int = 6, sweeps: int = 3,
             entry["detected"] = (
                 full_reports[-1].untrusted == [planted_id]
                 and incr_reports[-1].untrusted == [planted_id])
-            identical = identical and entry["detected"]
+            if not entry["detected"]:
+                failed.append(f"{name}.detected")
         scenarios[name] = entry
-        identical = identical and not mismatched
-    return {"identical": identical, "scenarios": scenarios}
+        failed.extend(f"{name}.{field}" for field in mismatched)
+    return {"identical": not failed, "mismatched_fields": failed,
+            "scenarios": scenarios}
 
 
 def measure_point(fleet_size: int, ram_kb: int, dirty_fraction: float, *,
-                  sweeps: int = 2, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                  arity: int = DEFAULT_ARITY) -> dict:
+                  sweeps: int = 2, chunk_size: int = DEFAULT_CHUNK_SIZE
+                  ) -> dict:
     """Paired sweep timings at one dirty fraction.
 
     Both fleets get one untimed settling sweep (spin-up digests) and one
-    untimed warm-up round (first update: the incremental fleet builds
-    its trees and pays its one full measurement of the new content
-    lineage), then ``sweeps`` timed update+sweep rounds.  Refuses to
-    return numbers if the two paths' sweep reports or simulated
-    fingerprints differ.
+    untimed first update round (the incremental fleet builds its trees
+    and pays its one full measurement of the new content lineage).  A
+    timed sample is then ``sweeps`` update+sweep rounds with only the
+    sweeps timed.  Digest-tree and cache counters are read after the
+    warm-up sample, so they never depend on the repeat count.  Every
+    sweep report and the final simulated fingerprints must agree
+    between the paths; ``mismatched_fields`` names what did not.
     """
-    results: dict[str, float] = {}
+    seconds: dict[str, dict] = {}
     reports: dict[str, list] = {}
     fingerprints: dict[str, dict] = {}
-    caches: dict[str, dict] = {}
-    tree_stats = None
+    warm: dict[str, tuple] = {}
     for mode in ("full", "incremental"):
         swarm = build_swarm(fleet_size, ram_kb,
                             incremental=(mode == "incremental"),
@@ -299,91 +299,77 @@ def measure_point(fleet_size: int, ram_kb: int, dirty_fraction: float, *,
         swarm.sweep()                       # settle spin-up, untimed
         apply_update(swarm, 0, dirty_fraction, chunk_size=chunk_size)
         learn_update(swarm)
-        swarm.sweep()                       # warm-up round, untimed
-        elapsed = 0.0
-        mode_reports = []
-        for round_index in range(1, sweeps + 1):
-            apply_update(swarm, round_index, dirty_fraction,
-                         chunk_size=chunk_size)
-            learn_update(swarm)             # verifier-side, untimed
-            begin = time.perf_counter()
-            mode_reports.append(swarm.sweep())
-            elapsed += time.perf_counter() - begin
-        results[mode] = elapsed
+        swarm.sweep()                       # first update round, untimed
+        rounds = itertools.count(1)
+        mode_reports: list = []
+
+        def body(lap):
+            for _ in range(sweeps):
+                apply_update(swarm, next(rounds), dirty_fraction,
+                             chunk_size=chunk_size)
+                learn_update(swarm)         # verifier-side, untimed
+                with lap():
+                    mode_reports.append(swarm.sweep())
+            return (swarm.state_cache.stats(),
+                    swarm.members[0].session.device.ram.digest_tree.stats()
+                    if mode == "incremental" else None)
+
+        results, laps = bench.sample(body)
+        seconds[mode] = laps["block"]
+        warm[mode] = results[0]
         reports[mode] = mode_reports
         fingerprints[mode] = scenario_fingerprint(swarm)
-        caches[mode] = swarm.state_cache.stats()
-        if mode == "incremental":
-            tree_stats = swarm.members[0].session.device.ram \
-                .digest_tree.stats()
+    mismatched = []
     if reports["full"] != reports["incremental"]:
-        raise AssertionError(
-            "incremental sweep reports diverged from the full walk -- "
-            "refusing to report a speedup")
+        mismatched.append("reports")
     if fingerprints["full"] != fingerprints["incremental"]:
-        raise AssertionError(
-            "incremental simulated accounting diverged from the full "
-            "walk -- refusing to report a speedup")
+        mismatched.append("fingerprint")
     writable = 2 * min(ram_kb, 1024) * 1024
     return {
         "dirty_fraction": dirty_fraction,
         "dirty_kb": int(dirty_fraction * writable) // 1024,
-        "full_seconds": results["full"],
-        "incremental_seconds": results["incremental"],
-        "speedup": results["full"] / results["incremental"],
-        "full_cache": caches["full"],
-        "incremental_cache": caches["incremental"],
-        "tree": tree_stats,
+        "seconds": seconds,
+        "speedup": bench.ratio(seconds["full"], seconds["incremental"]),
+        "full_cache": warm["full"][0],
+        "incremental_cache": warm["incremental"][0],
+        "tree": warm["incremental"][1],
+        "mismatched_fields": mismatched,
     }
 
 
-def build_report(*, fleet_size: int = 256, ram_kb: int = 1024,
-                 sweeps: int = 2,
-                 dirty_fractions: tuple = DEFAULT_DIRTY_FRACTIONS,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 arity: int = DEFAULT_ARITY,
-                 gate_dirty_fraction: float = GATE_DIRTY_FRACTION,
-                 gate_threshold: float = GATE_THRESHOLD,
-                 equivalence_size: int = 6) -> dict:
-    """Assemble the full ``BENCH_incremental.json`` payload.
+def run(*, fleet_size: int = 256, ram_kb: int = 1024, sweeps: int = 2,
+        dirty_fractions: tuple = DEFAULT_DIRTY_FRACTIONS,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        equivalence_size: int = 6) -> dict:
+    """The ``BENCH_incremental.json`` report.
 
-    One :func:`measure_point` per dirty fraction (each internally
-    equivalence-checked), the three-scenario :func:`equivalence_check`
-    block, and the headline gate: the speedup at the largest measured
-    fraction <= ``gate_dirty_fraction`` must be >= ``gate_threshold``.
+    One :func:`measure_point` per dirty fraction, the three-scenario
+    :func:`equivalence_check` block (extended by any point whose paths
+    diverged), and the headline gate: the speedup at the largest
+    measured fraction <= ``GATE_DIRTY_FRACTION`` must reach
+    ``GATE_THRESHOLD``.
     """
     points = [measure_point(fleet_size, ram_kb, fraction, sweeps=sweeps,
-                            chunk_size=chunk_size, arity=arity)
+                            chunk_size=chunk_size)
               for fraction in dirty_fractions]
     eligible = [p for p in points
-                if p["dirty_fraction"] <= gate_dirty_fraction]
+                if p["dirty_fraction"] <= GATE_DIRTY_FRACTION]
     if not eligible:
         raise ConfigurationError(
-            f"no measured dirty fraction <= {gate_dirty_fraction}")
+            f"no measured dirty fraction <= {GATE_DIRTY_FRACTION}")
     gate_point = max(eligible, key=lambda p: p["dirty_fraction"])
     equivalence = equivalence_check(size=equivalence_size)
-    return {
-        "schema": REPORT_SCHEMA_ID,
-        "fleet_size": fleet_size,
-        "ram_kb": ram_kb,
-        "writable_kb": 2 * min(ram_kb, 1024),
-        "sweeps": sweeps,
-        "chunk_size": chunk_size,
-        "arity": arity,
-        "host": host_info(),
-        "points": points,
-        "gate": {
-            "dirty_fraction": gate_point["dirty_fraction"],
-            "speedup": gate_point["speedup"],
-            "threshold": gate_threshold,
-            "passed": gate_point["speedup"] >= gate_threshold,
-        },
-        "equivalence": equivalence,
-    }
-
-
-def write_report(report: dict, path):
-    """Write ``report`` as indented JSON; returns the path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-    return path
+    equivalence["mismatched_fields"] += [
+        f"points[{p['dirty_fraction']}].{field}"
+        for p in points for field in p["mismatched_fields"]]
+    equivalence["identical"] = not equivalence["mismatched_fields"]
+    return bench.report(
+        "incremental",
+        params={"fleet_size": fleet_size, "ram_kb": ram_kb,
+                "writable_kb": 2 * min(ram_kb, 1024), "sweeps": sweeps,
+                "chunk_size": chunk_size, "arity": DEFAULT_ARITY},
+        points=points,
+        gates=[bench.gate(f"sweep_speedup_at_{gate_point['dirty_fraction']}"
+                          f"_dirty", gate_point["speedup"],
+                          GATE_THRESHOLD)],
+        equivalence=equivalence)

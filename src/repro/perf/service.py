@@ -3,41 +3,41 @@
 Drives :class:`~repro.services.attestd.AttestationService` with
 deterministic request schedules and measures *host* wall-clock
 throughput and latency -- how fast the Python process multiplexes
-simulated attestation sessions, never simulated time.  Host clocks are
-confined to this module (it is on the determinism lint's host-boundary
-allowlist); the service itself receives the clock only as an injected
-callable for latency stamping, so its deterministic path stays free of
-host time.
+simulated attestation sessions, never simulated time.  This declaration
+on :mod:`repro.perf.bench` takes the host clock from the core; the
+service receives it only as an injected callable for latency stamping,
+so its deterministic path stays free of host time.
 
 The report (``BENCH_service.json``) carries:
 
 * ``points`` -- offered-load points: offered / admitted / rejected
-  counts, sessions per second, p50/p99 request latency, and the peak
-  number of concurrently in-flight sessions;
-* ``gate`` -- the scale gate: at least one point must hold >= 1000
+  counts and the peak number of concurrently in-flight sessions (from
+  the warm-up run; every repeat replays the same seeds), sessions per
+  second at the median serve time, and the median over repeats of the
+  p50/p99 request latency;
+* ``gates`` -- the scale gate: at least one point must hold >= 1000
   sessions in flight at once;
-* ``equivalence`` -- the correctness gate: the serviced run at
-  ``workers=1`` must produce request records, per-device freshness
-  state and merged telemetry byte-identical to the sequential library
-  path (:meth:`~repro.services.attestd.AttestationService.process`).
-  :func:`build_report` refuses to emit a report when it does not.
+* ``equivalence`` -- the serviced run at ``workers=1`` must produce
+  request records, per-device freshness state and merged telemetry
+  byte-identical to the sequential library path
+  (:meth:`~repro.services.attestd.AttestationService.process`).
 """
 
 from __future__ import annotations
 
 import json
-import pathlib
-import time
+import statistics
 
 from ..mcu.device import DeviceConfig
 from ..mcu.statecache import StateDigestCache
 from ..services.attestd import AttestationService, build_schedule
-from .wallclock import host_info
+from . import bench
 
-__all__ = ["REPORT_SCHEMA_ID", "run_load_point", "equivalence_check",
-           "build_report", "write_report"]
+__all__ = ["REQUIRED_IN_FLIGHT", "run_load_point", "equivalence_check",
+           "run"]
 
-REPORT_SCHEMA_ID = "repro.perf.service/v1"
+#: The scale gate: peak concurrently in-flight sessions.
+REQUIRED_IN_FLIGHT = 1000
 
 #: Small provers (the paper's low-end class) so big fleets spin up fast.
 _BENCH_CONFIG = DeviceConfig(ram_size=8 * 1024, flash_size=16 * 1024,
@@ -71,7 +71,8 @@ def run_load_point(*, size: int, tenants: int = 4, backends: int = 4,
                    burst_seconds: float = 600.0, waves: int = 1,
                    spacing_seconds: float = 60.0, workers: int = 1,
                    seed: str = "service-bench") -> dict:
-    """Serve one deterministic schedule and measure it.
+    """Serve one deterministic schedule on a freshly built service per
+    run and measure it.
 
     The schedule offers ``waves`` bursts of ``size`` requests; each
     burst shares one arrival instant, so every admitted request of a
@@ -79,29 +80,39 @@ def run_load_point(*, size: int, tenants: int = 4, backends: int = 4,
     counts).  Telemetry is off: observation costs are a separate story
     and the load numbers should be the service's own.
     """
-    service = _build_service(size=size, tenants=tenants, backends=backends,
-                             duty_fraction=duty_fraction,
-                             burst_seconds=burst_seconds, observe=False,
-                             seed=seed)
     schedule = build_schedule(size, waves=waves,
                               spacing_seconds=spacing_seconds,
                               seed=f"{seed}:schedule")
-    begin = time.perf_counter()
-    records = service.serve_schedule(schedule, workers=workers,
-                                     clock=time.perf_counter)
-    wall = time.perf_counter() - begin
-    latencies = [record.host_latency_seconds for record in records
-                 if record.admitted
-                 and record.host_latency_seconds is not None]
+
+    def body(lap):
+        service = _build_service(size=size, tenants=tenants,
+                                 backends=backends,
+                                 duty_fraction=duty_fraction,
+                                 burst_seconds=burst_seconds,
+                                 observe=False, seed=seed)
+        with lap("serve"):
+            records = service.serve_schedule(schedule, workers=workers,
+                                             clock=bench.clock)
+        latencies = [record.host_latency_seconds for record in records
+                     if record.admitted
+                     and record.host_latency_seconds is not None]
+        return {"counts": (service.admitted, service.rejected,
+                           service.peak_in_flight),
+                "p50": _percentile(latencies, 0.50),
+                "p99": _percentile(latencies, 0.99)}
+
+    results, seconds = bench.sample(body)
+    admitted, rejected, peak = results[0]["counts"]
+    timed = results[1:]
     return {
         "offered": len(schedule),
-        "admitted": service.admitted,
-        "rejected": service.rejected,
-        "peak_in_flight": service.peak_in_flight,
-        "sessions_per_second": (service.admitted / wall) if wall else 0.0,
-        "p50_latency_ms": _percentile(latencies, 0.50) * 1000.0,
-        "p99_latency_ms": _percentile(latencies, 0.99) * 1000.0,
-        "wall_seconds": wall,
+        "admitted": admitted,
+        "rejected": rejected,
+        "peak_in_flight": peak,
+        "seconds": seconds,
+        "sessions_per_second": admitted / seconds["serve"]["median"],
+        "p50_latency_ms": statistics.median(r["p50"] for r in timed) * 1e3,
+        "p99_latency_ms": statistics.median(r["p99"] for r in timed) * 1e3,
         "waves": waves,
         "workers": workers,
     }
@@ -152,25 +163,17 @@ def equivalence_check(*, size: int = 24, tenants: int = 3,
     }
 
 
-def build_report(*, size: int = 1024, tenants: int = 4, backends: int = 8,
-                 duty_fraction: float = 0.01,
-                 required_in_flight: int = 1000) -> dict:
-    """Assemble the full ``BENCH_service.json`` payload.
+def run(*, size: int = 1024, tenants: int = 4, backends: int = 8,
+        duty_fraction: float = 0.01) -> dict:
+    """The ``BENCH_service.json`` report.
 
     Three offered-load points: a paced baseline (several spaced waves,
     everything admitted), an overloaded run (duty budget far below the
     offered load, so admission control visibly rejects), and the scale
     burst -- one wave of ``size`` simultaneous requests, which must put
-    at least ``required_in_flight`` sessions in flight at once for the
-    gate to pass.  Refuses to report at all if the serviced path is not
-    byte-identical to the sequential library path at ``workers=1``.
+    at least ``REQUIRED_IN_FLIGHT`` sessions in flight at once.
     """
     equivalence = equivalence_check()
-    if not equivalence["identical"]:
-        raise AssertionError(
-            "serviced run diverged from the sequential library path on "
-            f"{equivalence['mismatched_fields']} -- refusing to write a "
-            "perf report")
     points = [
         run_load_point(size=min(size, 128), tenants=tenants,
                        backends=backends, duty_fraction=duty_fraction,
@@ -184,26 +187,12 @@ def build_report(*, size: int = 1024, tenants: int = 4, backends: int = 8,
                        duty_fraction=duty_fraction, waves=1,
                        seed="service-bench-burst"),
     ]
-    max_peak = max(point["peak_in_flight"] for point in points)
-    return {
-        "schema": REPORT_SCHEMA_ID,
-        "size": size,
-        "tenants": tenants,
-        "backends": backends,
-        "duty_fraction": duty_fraction,
-        "host": host_info(),
-        "points": points,
-        "gate": {
-            "max_peak_in_flight": max_peak,
-            "required_in_flight": required_in_flight,
-            "passed": max_peak >= required_in_flight,
-        },
-        "equivalence": equivalence,
-    }
-
-
-def write_report(report: dict, path):
-    """Write ``report`` as indented JSON; returns the path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-    return path
+    return bench.report(
+        "service",
+        params={"size": size, "tenants": tenants, "backends": backends,
+                "duty_fraction": duty_fraction},
+        points=points,
+        gates=[bench.gate("peak_in_flight",
+                          max(point["peak_in_flight"] for point in points),
+                          REQUIRED_IN_FLIGHT)],
+        equivalence=equivalence)

@@ -18,15 +18,15 @@ the fleet and the delta win comes from dirty-chunk selection alone.
 Three artefacts come out of this module:
 
 * :func:`measure_point` -- paired full/delta capture timings at one
-  dirty fraction, with the folded chain asserted byte-identical to the
-  final full snapshot before any number is reported;
+  dirty fraction, with the folded chain compared byte for byte to the
+  final full snapshot;
 * :func:`equivalence_check` -- materialize a depth-``rounds`` chain,
   byte-compare it to a direct full capture, then restore it into a
   fresh sharded engine and prove the continued run matches an
   uninterrupted one (sweep report, merged trace, merged registry);
-* :func:`build_report` -- the schema-validated ``BENCH_snapshot.json``
-  payload with the headline >= 3x wall-clock / >= 10x bytes-written
-  gate at <= 10% dirty.
+* :func:`run` -- the ``BENCH_snapshot.json`` declaration on
+  :mod:`repro.perf.bench`, with the headline >= 3x wall-clock and
+  >= 10x bytes-written gates at <= 10% dirty.
 
 Everything timed here is *host* time (capture plus canonical JSON
 serialization -- what actually hits disk); simulated observables are
@@ -36,9 +36,8 @@ part of the equivalence invariant, never a knob.  See
 
 from __future__ import annotations
 
+import itertools
 import json
-import pathlib
-import time
 
 from ..crypto.rng import DeterministicRng
 from ..crypto.sha1 import SHA1
@@ -46,17 +45,15 @@ from ..errors import ConfigurationError
 from ..incremental import DEFAULT_CHUNK_SIZE
 from ..mcu.device import DeviceConfig
 from ..snapshot import materialize_chain
+from . import bench
 from . import fleet as fleet_mod
 from .fleet import FleetEngine, FleetSpec
 from .incremental import _attested_windows, apply_update, learn_update
-from .wallclock import host_info
 
-__all__ = ["REPORT_SCHEMA_ID", "DEFAULT_POINTS", "GATE_DIRTY_FRACTION",
+__all__ = ["DEFAULT_POINTS", "GATE_DIRTY_FRACTION",
            "GATE_SPEEDUP_THRESHOLD", "GATE_BYTES_THRESHOLD",
            "apply_unique_update", "learn_unique_update", "measure_point",
-           "equivalence_check", "build_report", "write_report"]
-
-REPORT_SCHEMA_ID = "repro.perf.snapshot/v1"
+           "equivalence_check", "run"]
 
 #: (dirty fraction, fleet-shared content?) of the default sweep.  The
 #: 0.50/unique point is the deliberate anti-cherry-pick: member-unique
@@ -187,11 +184,12 @@ def measure_point(fleet_size: int, ram_kb: int, dirty_fraction: float, *,
     against a full parent pays a one-off O(full) re-chunking of the
     parent's images to recover leaf digests; every later delta reads
     the parent's stored chunk-digest index instead, which is the
-    steady state this point measures.  Each timed round updates,
-    sweeps, then captures the engine twice: a full snapshot and a
-    delta against the previous delta, both timed through canonical
-    JSON serialization.  Refuses to return numbers unless folding the
-    whole chain reproduces the final full snapshot byte for byte.
+    steady state this point measures.  A timed sample is ``rounds``
+    rounds; each updates and sweeps (untimed), then captures the engine
+    twice: a full snapshot and a delta against the previous delta, both
+    timed through canonical JSON serialization.  Bytes written come from
+    the warm-up sample.  ``chain_identical`` records whether folding
+    the whole chain reproduces the final full snapshot byte for byte.
     """
     flavour = "shared" if shared else "unique"
     spec = _bench_spec(fleet_size, ram_kb,
@@ -202,37 +200,34 @@ def measure_point(fleet_size: int, ram_kb: int, dirty_fraction: float, *,
         engine.sweep()                      # warm-up round, untimed
         root = engine.snapshot()            # full parent, untimed
         chain = [root, engine.snapshot(parent=root)]    # bootstrap delta
-        full_seconds = 0.0
-        delta_seconds = 0.0
-        full_bytes = 0
-        delta_bytes = 0
-        last_full = None
-        for round_index in range(1, rounds + 1):
-            _update_engine(engine, round_index, dirty_fraction,
-                           chunk_size, shared)
-            engine.sweep()
-            begin = time.perf_counter()
-            last_full = engine.snapshot()
-            full_text = _canonical(last_full)
-            full_seconds += time.perf_counter() - begin
-            full_bytes += len(full_text)
-            begin = time.perf_counter()
-            delta = engine.snapshot(parent=chain[-1])
-            delta_text = _canonical(delta)
-            delta_seconds += time.perf_counter() - begin
-            delta_bytes += len(delta_text)
-            chain.append(delta)
+        round_index = itertools.count(1)
+        full_text = ""
+
+        def body(lap):
+            nonlocal full_text
+            full_bytes = delta_bytes = 0
+            for _ in range(rounds):
+                _update_engine(engine, next(round_index), dirty_fraction,
+                               chunk_size, shared)
+                engine.sweep()
+                with lap("full"):
+                    full_text = _canonical(engine.snapshot())
+                with lap("delta"):
+                    delta = engine.snapshot(parent=chain[-1])
+                    delta_text = _canonical(delta)
+                full_bytes += len(full_text)
+                delta_bytes += len(delta_text)
+                chain.append(delta)
+            return full_bytes, delta_bytes
+
+        results, seconds = bench.sample(body)
         identical = _canonical(materialize_chain(chain)) == full_text
-    if not identical:
-        raise AssertionError(
-            "folded delta chain is not byte-identical to the full "
-            "snapshot -- refusing to report a speedup")
+    full_bytes, delta_bytes = results[0]
     return {
         "dirty_fraction": dirty_fraction,
         "shared_content": shared,
-        "full_seconds": full_seconds,
-        "delta_seconds": delta_seconds,
-        "speedup": full_seconds / delta_seconds,
+        "seconds": seconds,
+        "speedup": bench.ratio(seconds["full"], seconds["delta"]),
         "full_bytes": full_bytes,
         "delta_bytes": delta_bytes,
         "bytes_reduction": full_bytes / delta_bytes,
@@ -283,22 +278,19 @@ def equivalence_check(*, size: int = 8, workers: int = 2, rounds: int = 3,
     return {"identical": not mismatched, "mismatched_fields": mismatched}
 
 
-def build_report(*, fleet_size: int = 256, ram_kb: int = 64,
-                 rounds: int = 2, workers: int = 2,
-                 points: tuple = DEFAULT_POINTS,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 gate_dirty_fraction: float = GATE_DIRTY_FRACTION,
-                 gate_speedup: float = GATE_SPEEDUP_THRESHOLD,
-                 gate_bytes: float = GATE_BYTES_THRESHOLD,
-                 equivalence_size: int = 8) -> dict:
-    """Assemble the full ``BENCH_snapshot.json`` payload.
+def run(*, fleet_size: int = 256, ram_kb: int = 64, rounds: int = 2,
+        workers: int = 2, points: tuple = DEFAULT_POINTS,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        equivalence_size: int = 8) -> dict:
+    """The ``BENCH_snapshot.json`` report.
 
-    One :func:`measure_point` per (dirty fraction, shared?) pair (each
-    internally chain-identity-checked), the restore-and-continue
-    :func:`equivalence_check` block, and the headline gate: at the
-    largest *shared-content* fraction <= ``gate_dirty_fraction``, delta
-    capture must beat full capture by >= ``gate_speedup`` x wall-clock
-    and >= ``gate_bytes`` x bytes written.
+    One :func:`measure_point` per (dirty fraction, shared?) pair, the
+    restore-and-continue :func:`equivalence_check` block (extended by
+    any point whose chain did not fold back identically), and the
+    headline gates: at the largest *shared-content* fraction <=
+    ``GATE_DIRTY_FRACTION``, delta capture must beat full capture by
+    ``GATE_SPEEDUP_THRESHOLD`` x wall-clock and
+    ``GATE_BYTES_THRESHOLD`` x bytes written.
     """
     measured = [measure_point(fleet_size, ram_kb, fraction, shared=shared,
                               rounds=rounds, workers=workers,
@@ -306,38 +298,29 @@ def build_report(*, fleet_size: int = 256, ram_kb: int = 64,
                 for fraction, shared in points]
     eligible = [point for point in measured
                 if point["shared_content"]
-                and point["dirty_fraction"] <= gate_dirty_fraction]
+                and point["dirty_fraction"] <= GATE_DIRTY_FRACTION]
     if not eligible:
         raise ConfigurationError(
             f"no measured shared-content dirty fraction <= "
-            f"{gate_dirty_fraction}")
+            f"{GATE_DIRTY_FRACTION}")
     gate_point = max(eligible, key=lambda point: point["dirty_fraction"])
     equivalence = equivalence_check(size=equivalence_size, workers=workers,
                                     chunk_size=chunk_size)
-    return {
-        "schema": REPORT_SCHEMA_ID,
-        "fleet_size": fleet_size,
-        "ram_kb": ram_kb,
-        "workers": workers,
-        "rounds": rounds,
-        "chunk_size": chunk_size,
-        "host": host_info(),
-        "points": measured,
-        "gate": {
-            "dirty_fraction": gate_point["dirty_fraction"],
-            "speedup": gate_point["speedup"],
-            "speedup_threshold": gate_speedup,
-            "bytes_reduction": gate_point["bytes_reduction"],
-            "bytes_threshold": gate_bytes,
-            "passed": (gate_point["speedup"] >= gate_speedup
-                       and gate_point["bytes_reduction"] >= gate_bytes),
-        },
-        "equivalence": equivalence,
-    }
-
-
-def write_report(report: dict, path):
-    """Write ``report`` as indented JSON; returns the path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-    return path
+    equivalence["mismatched_fields"] += [
+        f"points[{point['dirty_fraction']}:"
+        f"{'shared' if point['shared_content'] else 'unique'}].chain"
+        for point in measured if not point["chain_identical"]]
+    equivalence["identical"] = not equivalence["mismatched_fields"]
+    at = f"at_{gate_point['dirty_fraction']}_dirty"
+    return bench.report(
+        "snapshot",
+        params={"fleet_size": fleet_size, "ram_kb": ram_kb,
+                "workers": workers, "rounds": rounds,
+                "chunk_size": chunk_size},
+        points=measured,
+        gates=[bench.gate(f"capture_speedup_{at}", gate_point["speedup"],
+                          GATE_SPEEDUP_THRESHOLD),
+               bench.gate(f"bytes_reduction_{at}",
+                          gate_point["bytes_reduction"],
+                          GATE_BYTES_THRESHOLD)],
+        equivalence=equivalence)

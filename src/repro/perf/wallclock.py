@@ -1,61 +1,45 @@
-"""Wall-clock benchmarks of the measurement engine, and the paired
-fast/naive equivalence check.
+"""Host wall-clock of the measurement engine, and the paired
+naive/accel equivalence check.
 
 The attestation measurement is re-executed by the host for every
 simulated attestation, so host wall-clock of the measurement-heavy
-experiments is dominated by :mod:`repro.crypto.sha1`.  This module times
-that engine end to end (device build excluded, measurement only) under
-each :mod:`repro.fastpath` engine, and packages the numbers as the
-``BENCH_wallclock.json`` report written at the repository root by
-``benchmarks/bench_wallclock.py`` -- the perf trajectory future changes
-are judged against.
+experiments is dominated by :mod:`repro.crypto.sha1`.  This declaration
+on :mod:`repro.perf.bench` times that engine (device build excluded,
+measurement only) under the default engine over a sweep of sizes and
+under the ``naive`` reference at the paper's 512 KB, and gates the
+default engine at >= 3x the reference there.
 
-Every report embeds an **equivalence block**: the fast engines must
-produce byte-identical digests, response MACs, consumed cycles,
-:class:`~repro.core.prover.ProverStats` and telemetry registry dumps as
-the naive reference on a full protocol scenario.  A report whose
-equivalence block is not clean is a correctness regression, not a perf
-number; ``scripts/perf_smoke.py`` fails CI on it.
-
-All timings here are host time (``time.perf_counter``).  Simulated time
-lives in :mod:`repro.crypto.costmodel` and never appears in this module
-except as the invariant being checked.
+The equivalence block runs a full protocol scenario under ``naive`` and
+``accel`` and compares digests, response MACs, consumed cycles,
+:class:`~repro.core.prover.ProverStats` and telemetry registry dumps
+byte for byte; the timed digests of the two engines must agree too.
+Simulated time lives in :mod:`repro.crypto.costmodel` and appears here
+only as the invariant being checked.
 """
 
 from __future__ import annotations
 
 import json
-import pathlib
-import platform
-import time
 
 from .. import fastpath
 from ..core.protocol import build_session
 from ..crypto.hmac import HmacSha1, clear_hmac_midstate_cache
 from ..mcu.device import Device, DeviceConfig
 from ..obs.telemetry import Telemetry
+from . import bench
 
-__all__ = ["REPORT_SCHEMA_ID", "DEFAULT_SWEEP_KB", "host_info",
-           "time_measurement", "hmac_cache_timing", "equivalence_check",
-           "build_report", "write_report"]
-
-REPORT_SCHEMA_ID = "repro.perf.wallclock/v1"
+__all__ = ["DEFAULT_SWEEP_KB", "GATE_THRESHOLD", "time_measurement",
+           "hmac_cache_timing", "equivalence_check", "run"]
 
 #: RAM sizes (KB) of the default measurement sweep.
 DEFAULT_SWEEP_KB = (64, 128, 256, 512, 1024)
 
+#: The default engine must measure >= this many times faster than
+#: ``naive`` at the naive baseline size.
+GATE_THRESHOLD = 3.0
+
 _KEY = b"wallclock-key-16"
 _CHALLENGE = b"wallclock-challenge"
-
-
-def host_info() -> dict:
-    """The host block every perf report embeds (shared by the wallclock,
-    fleet and incremental reports so they stay comparable)."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-    }
 
 
 def _build_device(ram_kb: int) -> tuple[Device, object]:
@@ -71,35 +55,32 @@ def _build_device(ram_kb: int) -> tuple[Device, object]:
     return device, device.context("Code_Attest")
 
 
-def time_measurement(ram_kb: int, engine: str, *, repeats: int = 1) -> dict:
-    """Time ``measure_writable_memory`` once per repeat; keep the best.
-
-    Returns a sweep entry for the report: sizes, engine, best seconds,
-    throughput, and the digest (hex) so entries are cross-checkable.
-    """
+def time_measurement(ram_kb: int, engine: str) -> dict:
+    """One point: ``measure_writable_memory`` under ``engine`` with a
+    cold HMAC midstate cache, plus the digest so points cross-check."""
     device, context = _build_device(ram_kb)
     writable = device.writable_memory_bytes
-    best = None
-    digest = b""
+
+    def body(lap):
+        clear_hmac_midstate_cache()
+        with lap("measure"):
+            return device.measure_writable_memory(context, _KEY,
+                                                  _CHALLENGE)
+
     with fastpath.forced(engine):
-        for _ in range(max(1, repeats)):
-            clear_hmac_midstate_cache()
-            start = time.perf_counter()
-            digest = device.measure_writable_memory(context, _KEY, _CHALLENGE)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
+        digests, seconds = bench.sample(body)
     return {
         "ram_kb": ram_kb,
         "writable_kb": writable // 1024,
         "engine": engine,
-        "seconds": best,
-        "mb_per_s": (writable / best) / 1e6,
-        "digest": digest.hex(),
+        "digest": digests[0].hex(),
+        "seconds": seconds,
+        "mb_per_s": writable / seconds["measure"]["median"] / 1e6,
     }
 
 
 def hmac_cache_timing(rounds: int = 500) -> dict:
-    """Cold vs warm HMAC construction cost under the current fast engine.
+    """Cold vs warm HMAC construction cost under the current engine.
 
     Cold constructs each :class:`HmacSha1` with an empty midstate cache
     (two key-pad blocks hashed per request); warm reuses the cached
@@ -108,25 +89,19 @@ def hmac_cache_timing(rounds: int = 500) -> dict:
     """
     message = b"m" * 64
 
-    def run(warm: bool) -> float:
-        clear_hmac_midstate_cache()
-        if warm:
-            HmacSha1(_KEY)  # populate the cache once
-        start = time.perf_counter()
-        for _ in range(rounds):
-            if not warm:
+    def body(lap):
+        with lap("cold"):
+            for _ in range(rounds):
                 clear_hmac_midstate_cache()
-            HmacSha1(_KEY, message).digest()
-        return time.perf_counter() - start
+                HmacSha1(_KEY, message).digest()
+        HmacSha1(_KEY)  # populate the cache once
+        with lap("warm"):
+            for _ in range(rounds):
+                HmacSha1(_KEY, message).digest()
 
-    cold = run(warm=False)
-    warm = run(warm=True)
-    return {
-        "rounds": rounds,
-        "cold_seconds": cold,
-        "warm_seconds": warm,
-        "speedup": cold / warm if warm > 0 else 1.0,
-    }
+    seconds = bench.sample(body)[1]
+    return {"hmac_rounds": rounds, "seconds": seconds,
+            "speedup": bench.ratio(seconds["cold"], seconds["warm"])}
 
 
 def _scenario_fingerprint(engine: str, ram_kb: int, rounds: int) -> dict:
@@ -167,78 +142,45 @@ def _scenario_fingerprint(engine: str, ram_kb: int, rounds: int) -> dict:
         }
 
 
-def equivalence_check(ram_kb: int = 16, rounds: int = 2,
-                      engines: tuple = ("pure", "accel")) -> dict:
-    """Prove the fast engines change no output and no simulated accounting.
+def equivalence_check(ram_kb: int = 16, rounds: int = 2) -> dict:
+    """Prove ``accel`` changes no output and no simulated accounting.
 
-    Runs the same seeded protocol scenario under ``naive`` and each fast
-    engine and compares response MACs, digests, consumed cycles,
+    Runs the same seeded protocol scenario under ``naive`` and
+    ``accel`` and compares response MACs, digests, consumed cycles,
     ``ProverStats`` and the telemetry registry dump byte for byte.
     """
     baseline = _scenario_fingerprint("naive", ram_kb, rounds)
-    comparisons = {}
-    identical = True
-    for engine in engines:
-        candidate = _scenario_fingerprint(engine, ram_kb, rounds)
-        mismatches = sorted(key for key in baseline
-                            if candidate[key] != baseline[key])
-        comparisons[engine] = {"identical": not mismatches,
-                               "mismatched_fields": mismatches}
-        identical = identical and not mismatches
-    return {
-        "ram_kb": ram_kb,
-        "rounds": rounds,
-        "identical": identical,
-        "engines": comparisons,
-        "response_mac": baseline["response_mac"],
-        "cycle_count": baseline["cycle_count"],
-    }
+    candidate = _scenario_fingerprint("accel", ram_kb, rounds)
+    mismatched = sorted(key for key in baseline
+                        if candidate[key] != baseline[key])
+    return {"identical": not mismatched, "mismatched_fields": mismatched,
+            "ram_kb": ram_kb, "rounds": rounds,
+            "response_mac": baseline["response_mac"],
+            "cycle_count": baseline["cycle_count"]}
 
 
-def build_report(*, sweep_kb: tuple = DEFAULT_SWEEP_KB,
-                 naive_kb: int = 512, repeats: int = 1,
-                 equivalence_ram_kb: int = 16) -> dict:
-    """Assemble the full ``BENCH_wallclock.json`` payload.
-
-    * a fast-engine sweep over ``sweep_kb`` (cold HMAC cache each run);
-    * the naive baseline at ``naive_kb`` and the headline speedup of the
-      default engine against it on the same size;
-    * cold-vs-warm HMAC midstate cache timing;
-    * the paired equivalence block (see :func:`equivalence_check`).
-    """
+def run(*, sweep_kb: tuple = DEFAULT_SWEEP_KB, naive_kb: int = 512,
+        equivalence_ram_kb: int = 16) -> dict:
+    """The ``BENCH_wallclock.json`` report: the default-engine sweep,
+    the naive baseline at ``naive_kb``, cold-vs-warm HMAC midstate
+    cache timing, the speedup gate and the equivalence block."""
     default_engine = fastpath.engine()
-    sweep = [time_measurement(kb, default_engine, repeats=repeats)
-             for kb in sweep_kb]
-    naive = time_measurement(naive_kb, "naive", repeats=repeats)
-    fast_at_naive_size = next(
-        (entry for entry in sweep if entry["ram_kb"] == naive_kb), None)
-    if fast_at_naive_size is None:
-        fast_at_naive_size = time_measurement(naive_kb, default_engine,
-                                              repeats=repeats)
-        sweep.append(fast_at_naive_size)
-    if naive["digest"] != fast_at_naive_size["digest"]:
-        raise AssertionError(
-            "fast and naive measurement digests diverged at "
-            f"{naive_kb} KB -- refusing to write a perf report")
-    return {
-        "schema": REPORT_SCHEMA_ID,
-        "engine_default": default_engine,
-        "host": host_info(),
-        "sweep": sweep,
-        "naive_baseline": naive,
-        "speedup": {
-            "ram_kb": naive_kb,
-            "naive_seconds": naive["seconds"],
-            "fast_seconds": fast_at_naive_size["seconds"],
-            "factor": naive["seconds"] / fast_at_naive_size["seconds"],
-        },
-        "hmac_cache": hmac_cache_timing(),
-        "equivalence": equivalence_check(ram_kb=equivalence_ram_kb),
-    }
-
-
-def write_report(report: dict, path) -> pathlib.Path:
-    """Write ``report`` as indented JSON; returns the path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-    return path
+    sizes = sorted(set(sweep_kb) | {naive_kb})
+    sweep = [time_measurement(kb, default_engine) for kb in sizes]
+    naive = time_measurement(naive_kb, "naive")
+    fast = next(point for point in sweep if point["ram_kb"] == naive_kb)
+    equivalence = equivalence_check(ram_kb=equivalence_ram_kb)
+    if naive["digest"] != fast["digest"]:
+        equivalence["mismatched_fields"].append(f"digest@{naive_kb}KB")
+        equivalence["identical"] = False
+    speedup = bench.ratio(naive["seconds"]["measure"],
+                          fast["seconds"]["measure"])
+    return bench.report(
+        "wallclock",
+        params={"sweep_kb": sizes, "naive_kb": naive_kb,
+                "engine_default": default_engine,
+                "equivalence_ram_kb": equivalence_ram_kb},
+        points=[*sweep, naive, hmac_cache_timing()],
+        gates=[bench.gate(f"{default_engine}_vs_naive_{naive_kb}kb",
+                          speedup, GATE_THRESHOLD)],
+        equivalence=equivalence)

@@ -36,7 +36,7 @@ class TestDeterminismRules:
 
     def test_host_clock_allowed_in_perf(self):
         source = "import time\n\ndef f():\n    return time.time()\n"
-        assert rules_in(source, "src/repro/perf/wallclock.py") == set()
+        assert rules_in(source, "src/repro/perf/bench.py") == set()
 
     def test_host_clock_allowed_in_fleet_boundary(self):
         """repro.perf.fleet owns the host-parallel boundary and carries

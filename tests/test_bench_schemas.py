@@ -1,9 +1,9 @@
 """Tier-1 wiring for ``scripts/bench_schema_check.py``.
 
-Every checked-in ``BENCH_*.json`` artefact must validate against its
-schema in :mod:`repro.obs.schema` in one pass, and an artefact without
-a registered validator must fail loudly -- a new benchmark cannot land
-a report format CI never looks at.
+Every checked-in ``BENCH_*.json`` artefact must validate against the
+one ``repro.perf.bench/v1`` envelope in one pass, and an artefact in
+any other format must fail loudly -- a new benchmark cannot land a
+report format CI never looks at.
 """
 
 import json
@@ -36,10 +36,11 @@ class TestBenchSchemaCheck:
 
     def test_unknown_artifact_fails(self, tmp_path):
         rogue = tmp_path / "BENCH_rogue.json"
-        rogue.write_text("{}\n")
+        rogue.write_text(json.dumps({"schema": "repro.perf.rogue/v1"}))
         proc = run_check(str(rogue))
         assert proc.returncode == 1
-        assert "no validator registered" in proc.stderr
+        assert "bench.schema: 'repro.perf.rogue/v1' not in allowed" \
+            in proc.stderr
 
     def test_corrupt_artifact_fails(self, tmp_path):
         broken = tmp_path / "BENCH_snapshot.json"
@@ -50,9 +51,28 @@ class TestBenchSchemaCheck:
 
     def test_schema_violation_fails(self, tmp_path):
         source = json.loads((REPO / "BENCH_snapshot.json").read_text())
-        del source["gate"]
+        del source["gates"]
         mutated = tmp_path / "BENCH_snapshot.json"
         mutated.write_text(json.dumps(source))
         proc = run_check(str(mutated))
         assert proc.returncode == 1
-        assert "gate" in proc.stderr
+        assert "missing required key 'gates'" in proc.stderr
+
+    def test_missing_host_cpus_fails(self, tmp_path):
+        source = json.loads((REPO / "BENCH_fleet.json").read_text())
+        del source["host"]["cpus"]
+        mutated = tmp_path / "BENCH_fleet.json"
+        mutated.write_text(json.dumps(source))
+        proc = run_check(str(mutated))
+        assert proc.returncode == 1
+        assert "bench.host: missing required key 'cpus'" in proc.stderr
+
+    def test_gate_without_threshold_fails(self, tmp_path):
+        source = json.loads((REPO / "BENCH_incremental.json").read_text())
+        del source["gates"][0]["threshold"]
+        mutated = tmp_path / "BENCH_incremental.json"
+        mutated.write_text(json.dumps(source))
+        proc = run_check(str(mutated))
+        assert proc.returncode == 1
+        assert "bench.gates[0]: missing required key 'threshold'" \
+            in proc.stderr

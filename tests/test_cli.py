@@ -17,8 +17,8 @@ class TestParser:
                      ["flood", "--rate", "1.0"],
                      ["attest", "--scheme", "hmac-sha1"],
                      ["metrics", "--rounds", "3"],
-                     ["fleet-bench", "--size", "12", "--workers", "2",
-                      "--json"]):
+                     ["bench", "fleet", "--json"],
+                     ["bench", "all", "--out", "."]):
             args = parser.parse_args(argv)
             assert callable(args.fn)
 
@@ -126,17 +126,54 @@ class TestCommands:
         dump = json.loads(captured.out[dump_start:])
         assert dump["schema"] == "repro.obs.registry/v1"
 
-    def test_fleet_bench_json(self, capsys, tmp_path):
+    @pytest.fixture
+    def small_fleet(self, monkeypatch):
+        """``repro bench`` takes no sizing flags; tests shrink the fleet
+        declaration itself."""
+        import functools
+
+        from repro.perf import fleet
+        monkeypatch.setattr(fleet, "run", functools.partial(
+            fleet.run, fleet_size=8, ram_kb=64, sweeps=1, workers=2,
+            equivalence_size=4))
+
+    def test_fleet_bench_json(self, capsys, tmp_path, small_fleet):
         import json
-        out = tmp_path / "BENCH_fleet.json"
-        assert main(["fleet-bench", "--size", "8", "--ram-kb", "64",
-                     "--sweeps", "1", "--workers", "2", "--json",
-                     "--out", str(out)]) == 0
+        code = main(["bench", "fleet", "--json", "--out", str(tmp_path)])
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "repro.perf.fleet/v1"
-        assert report["reports_identical"] is True
+        assert report["schema"] == "repro.perf.bench/v1"
+        assert report["bench"] == "fleet"
+        assert report["host"]["cpus"] >= 1
         assert report["equivalence"]["identical"] is True
-        assert json.loads(out.read_text()) == report
+        assert code == (0 if all(gate["passed"]
+                                 for gate in report["gates"]) else 1)
+        assert json.loads((tmp_path / "BENCH_fleet.json").read_text()) \
+            == report
+
+    def test_fleet_gate_below_2x_fails_the_command(self, capsys, tmp_path,
+                                                   small_fleet, monkeypatch):
+        """A fleet whose sharded engine sweeps slower than 2x the
+        sequential path exits non-zero; the report still records the
+        failing gate."""
+        import json
+        import time
+
+        from repro.perf import fleet
+        sweep = fleet.FleetEngine.sweep
+
+        def slow_sweep(self, **kwargs):
+            time.sleep(0.2)
+            return sweep(self, **kwargs)
+
+        monkeypatch.setattr(fleet.FleetEngine, "sweep", slow_sweep)
+        assert main(["bench", "fleet", "--json",
+                     "--out", str(tmp_path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        gate = {entry["name"]: entry for entry in report["gates"]}
+        assert gate["sweep_speedup"]["threshold"] == 2.0
+        assert gate["sweep_speedup"]["value"] < 2.0
+        assert gate["sweep_speedup"]["passed"] is False
+        assert report["equivalence"]["identical"] is True
 
     def test_metrics_to_files(self, tmp_path):
         import json
