@@ -196,6 +196,14 @@ class AES128:
         self.blocks_encrypted += 1
         return bytes(state)
 
+    def mac_chain(self, encoded: bytes) -> bytes:
+        """Last block of the zero-IV CBC chain of block-aligned ``encoded``."""
+        state = bytes(BLOCK_SIZE)
+        for offset in range(0, len(encoded), BLOCK_SIZE):
+            block = encoded[offset:offset + BLOCK_SIZE]
+            state = self.encrypt_block(bytes(a ^ b for a, b in zip(state, block)))
+        return state
+
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt one 16-byte block."""
         if len(block) != BLOCK_SIZE:

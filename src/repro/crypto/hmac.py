@@ -37,8 +37,9 @@ __all__ = ["HmacSha1", "hmac_sha1", "constant_time_compare",
            "clear_hmac_midstate_cache", "hmac_midstate_cache_info",
            "pin_hmac_midstates", "unpin_hmac_midstates"]
 
-_IPAD = 0x36
-_OPAD = 0x5C
+#: ``bytes.translate`` tables: byte ``b`` -> ``b ^ ipad`` / ``b ^ opad``.
+_IPAD_TABLE = bytes(b ^ 0x36 for b in range(256))
+_OPAD_TABLE = bytes(b ^ 0x5C for b in range(256))
 
 #: Upper bound on cached (engine, key) midstate pairs.
 HMAC_MIDSTATE_CACHE_MAX = 128
@@ -68,8 +69,8 @@ def _prepare_key(key: bytes) -> bytes:
 
 
 def _make_midstates(padded: bytes) -> tuple[SHA1, SHA1]:
-    return (SHA1(bytes(b ^ _IPAD for b in padded)),
-            SHA1(bytes(b ^ _OPAD for b in padded)))
+    return (SHA1(padded.translate(_IPAD_TABLE)),
+            SHA1(padded.translate(_OPAD_TABLE)))
 
 
 def _pad_midstates(padded: bytes) -> tuple[SHA1, SHA1]:
@@ -157,14 +158,10 @@ class HmacSha1:
             raise TypeError("HMAC key must be bytes")
         padded = _prepare_key(bytes(key))
         if fastpath.is_fast():
-            inner_proto, outer_proto = _pad_midstates(padded)
+            inner_proto, self._outer_proto = _pad_midstates(padded)
             self._inner = inner_proto.copy()
-            self._outer_proto: SHA1 | None = outer_proto
-            self._outer_key: bytes | None = None
         else:
-            self._inner = SHA1(bytes(b ^ _IPAD for b in padded))
-            self._outer_proto = None
-            self._outer_key = bytes(b ^ _OPAD for b in padded)
+            self._inner, self._outer_proto = _make_midstates(padded)
         if data:
             self.update(data)
 
@@ -176,15 +173,11 @@ class HmacSha1:
         clone = HmacSha1.__new__(HmacSha1)
         clone._inner = self._inner.copy()
         clone._outer_proto = self._outer_proto
-        clone._outer_key = self._outer_key
         return clone
 
     def digest(self) -> bytes:
         """Return the 20-byte HMAC tag."""
-        if self._outer_proto is not None:
-            outer = self._outer_proto.copy()
-        else:
-            outer = SHA1(self._outer_key)
+        outer = self._outer_proto.copy()
         outer.update(self._inner.digest())
         return outer.digest()
 

@@ -33,6 +33,8 @@ class BlockCipher(Protocol):
 
     def decrypt_block(self, block: bytes) -> bytes: ...
 
+    def mac_chain(self, encoded: bytes) -> bytes: ...
+
 
 def pkcs7_pad(data: bytes, block_size: int) -> bytes:
     """Pad ``data`` to a multiple of ``block_size`` per PKCS#7."""
@@ -116,8 +118,4 @@ def cbc_mac(cipher: BlockCipher, message: bytes) -> bytes:
     encoded = len(message).to_bytes(8, "big").rjust(block_size, b"\x00") + message
     if len(encoded) % block_size:
         encoded += b"\x00" * (block_size - len(encoded) % block_size)
-    state = b"\x00" * block_size
-    for offset in range(0, len(encoded), block_size):
-        block = encoded[offset:offset + block_size]
-        state = cipher.encrypt_block(_xor_block(state, block))
-    return state
+    return cipher.mac_chain(encoded)

@@ -6,6 +6,10 @@ primitive for a low-end prover: 0.017 ms/block encryption and
 (Section 4.1, Table 1).  Speck 64/128 has a 64-bit block and a 128-bit
 key, 27 rounds, word size 32 bits, rotation constants alpha=8, beta=3.
 
+The host kernel and the simulated cost are independent: simulated cycles
+come from :meth:`repro.crypto.costmodel.CryptoCostModel.speck_cbc_mac_cycles`
+by message length, never from how fast this module runs on the host.
+
 Reference: "The SIMON and SPECK Families of Lightweight Block Ciphers",
 ePrint 2013/404.  The test suite checks the published test vector
 (key 1b1a1918 13121110 0b0a0908 03020100, plaintext 3b726574 7475432d,
@@ -38,16 +42,8 @@ def _rol(x: int, r: int) -> int:
     return ((x << r) | (x >> (_WORD_BITS - r))) & _MASK
 
 
-def _round_enc(x: int, y: int, k: int) -> tuple[int, int]:
-    """One Speck encryption round on words (x, y) with round key k."""
-    x = (_ror(x, _ALPHA) + y) & _MASK
-    x ^= k
-    y = _rol(y, _BETA) ^ x
-    return x, y
-
-
 def _round_dec(x: int, y: int, k: int) -> tuple[int, int]:
-    """Inverse of :func:`_round_enc`."""
+    """Inverse of one encryption round of :meth:`Speck64_128.mac_chain`."""
     y = _ror(y ^ x, _BETA)
     x = _rol(((x ^ k) - y) & _MASK, _ALPHA)
     return x, y
@@ -97,16 +93,84 @@ class Speck64_128:
         return round_keys
 
     def encrypt_block(self, block: bytes) -> bytes:
-        """Encrypt one 8-byte block."""
+        """Encrypt one 8-byte block: a zero-IV chain of one block."""
         if len(block) != BLOCK_SIZE:
             raise InvalidBlockError(
                 f"Speck block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        # Reference vectors print the block as words (x, y), x first;
-        # serialising big-endian in print order yields the 8 block bytes.
-        x, y = struct.unpack(">2I", block)
-        for k in self._round_keys:
-            x, y = _round_enc(x, y, k)
-        self.blocks_encrypted += 1
+        return self.mac_chain(block)
+
+    def mac_chain(self, encoded: bytes) -> bytes:
+        """Last block of the zero-IV CBC chain of block-aligned ``encoded``."""
+        if len(encoded) % BLOCK_SIZE:
+            raise InvalidBlockError(
+                f"Speck chain input must be a multiple of {BLOCK_SIZE} bytes")
+        # Vectors print a block as big-endian words (x, y), x first.
+        words = struct.unpack(f">{len(encoded) // 4}I", encoded)
+        (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13,
+         k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25,
+         k26) = self._round_keys
+        # w * d is w twice over 64 bits, so after masking to 32 bits
+        # ``w * d >> 8`` is ror(w, 8) and ``w * d >> 29`` is rol(w, 3).
+        d, m = 0x100000001, _MASK
+        x = y = 0
+        for i in range(0, len(words), 2):
+            x ^= words[i]
+            y ^= words[i + 1]
+            x = (((x * d >> 8) + y) & m) ^ k0
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k1
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k2
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k3
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k4
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k5
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k6
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k7
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k8
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k9
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k10
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k11
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k12
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k13
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k14
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k15
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k16
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k17
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k18
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k19
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k20
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k21
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k22
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k23
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k24
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k25
+            y = ((y * d >> 29) & m) ^ x
+            x = (((x * d >> 8) + y) & m) ^ k26
+            y = ((y * d >> 29) & m) ^ x
+        self.blocks_encrypted += len(words) // 2
         return struct.pack(">2I", x, y)
 
     def decrypt_block(self, block: bytes) -> bytes:

@@ -66,6 +66,34 @@ class TestSymmetricSchemes:
             make_symmetric_authenticator("enigma", KEY)
 
 
+class TestSpeckTamper:
+    """Every single-bit change to tag or payload is rejected, so a kernel
+    that drops a trailing word or mis-chains a block cannot pass."""
+
+    # 27 bytes: the last block carries payload only in its x word;
+    # 30 bytes: in both words; 32 bytes: the payload is block-aligned.
+    @pytest.fixture(params=[27, 30, 32])
+    def payload(self, request):
+        return (PAYLOAD * 2)[:request.param]
+
+    def test_every_tag_bit(self, payload):
+        auth = SpeckCbcMacAuthenticator(KEY)
+        tag = auth.tag(payload)
+        assert auth.verify(payload, tag)
+        for bit in range(8 * len(tag)):
+            flipped = bytearray(tag)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            assert not auth.verify(payload, bytes(flipped)), bit
+
+    def test_every_payload_bit(self, payload):
+        auth = SpeckCbcMacAuthenticator(KEY)
+        tag = auth.tag(payload)
+        for bit in range(8 * len(payload)):
+            flipped = bytearray(payload)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            assert not auth.verify(bytes(flipped), tag), bit
+
+
 class TestNull:
     def test_accepts_anything(self):
         auth = NullAuthenticator()
