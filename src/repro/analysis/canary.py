@@ -18,7 +18,7 @@ policy says it lives, proving the scanner is sharp enough for its
 verdict on everything else to mean something.
 
 ``leak=True`` plants a deliberate telemetry-event leak (the key's hex
-in a trace payload) so the smoke test can verify the hunt and the
+in a trace payload) so the tests can verify the hunt and the
 static analyzer agree on seeded trees too.
 """
 

@@ -60,6 +60,7 @@ from pathlib import Path
 
 import ast
 
+from ..errors import ConfigurationError
 from .dataflow import (BOTTOM, CallContext, DataflowClient, Program,
                        SinkSite, Violation, analyze_program)
 
@@ -118,7 +119,7 @@ _BRANCH_SINK_KINDS = frozenset({"telemetry", "trace"})
 #: leak could, and plant a deliberate telemetry leak in ``leak=True``
 #: mode -- every one of those lines is a true positive by design.  Its
 #: confidentiality obligations are checked by its own verdicts (a hunt
-#: whose clean run is not clean fails the smoke gate), not by KEY001.
+#: whose clean run is not clean fails ``test_canary.py``), not by KEY001.
 EXCLUDED_SELF_MODULES = frozenset({
     "src/repro/analysis/canary.py",
 })
@@ -365,10 +366,17 @@ class TaintReport:
 def analyze_taint_tree(root: Path, *,
                        dirs: tuple[str, ...] = ("src/repro",),
                        policy: TaintPolicy | None = None) -> TaintReport:
-    """Run the full key-confidentiality analysis over ``root``."""
+    """Run the full key-confidentiality analysis over ``root``.
+
+    A scan that finds no file is a :class:`ConfigurationError`, not a
+    vacuous pass.
+    """
     policy = policy if policy is not None else TaintPolicy((), ())
     program = Program.from_tree(root, dirs=dirs,
                                 exclude=EXCLUDED_SELF_MODULES)
+    if not program.files:
+        raise ConfigurationError(
+            f"taint: no Python files under {root} in {', '.join(dirs)}")
     result = analyze_program(program, KeyConfidentialityClient())
 
     kept: list[Violation] = []

@@ -31,10 +31,12 @@ parameters without driving pytest.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .core.analysis import render_table
 from .crypto.costmodel import CryptoCostModel
+from .errors import ConfigurationError
 
 __all__ = ["main"]
 
@@ -383,6 +385,20 @@ def _cmd_verify_profile(args) -> int:
     return 1 if mismatches else 0
 
 
+def _scan_errors_exit_1(command):
+    """Report a :class:`ConfigurationError` (e.g. a scan that found no
+    file) on stderr and exit 1 instead of raising."""
+    @functools.wraps(command)
+    def run(args) -> int:
+        try:
+            return command(args)
+        except ConfigurationError as exc:
+            print(exc, file=sys.stderr)
+            return 1
+    return run
+
+
+@_scan_errors_exit_1
 def _cmd_lint(args) -> int:
     """Run the determinism/consistency linter over the tree."""
     import json
@@ -412,6 +428,7 @@ def _cmd_lint(args) -> int:
     return 0 if report.clean and not stale_fails else 1
 
 
+@_scan_errors_exit_1
 def _cmd_taint(args) -> int:
     """Key-confidentiality taint analysis (KEY001/KEY002/KEY003)."""
     import json
@@ -462,6 +479,7 @@ def _cmd_taint(args) -> int:
     return 1 if failed else 0
 
 
+@_scan_errors_exit_1
 def _cmd_analyze(args) -> int:
     """Run invariants + lint + taint; emit one merged analysis document."""
     import pathlib
@@ -1018,7 +1036,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="determinism/consistency lint over the repo")
     p.add_argument("paths", nargs="*",
                    help="directories to scan, relative to --root "
-                        "(default: src scripts benchmarks examples tests)")
+                        "(default: src benchmarks examples tests)")
     p.add_argument("--root", default=".",
                    help="repository root the scan is relative to")
     p.add_argument("--waivers", default="lint-waivers.json",

@@ -100,7 +100,7 @@ class DigestTree:
         #: the first :meth:`root` call (or after :meth:`invalidate`).
         self._levels: list[list[bytes]] | None = None
         self._dirty: set[int] = set()
-        # Host-side work counters (asserted by smoke gates and reported
+        # Host-side work counters (asserted by tier-1 tests and reported
         # by the benchmark; never part of simulated accounting).
         self.leaf_hashes = 0
         self.node_hashes = 0

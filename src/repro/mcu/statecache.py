@@ -31,8 +31,9 @@ be observationally identical to a recompute.  The device therefore
 
 Sharing one cache across a fleet turns spin-up from O(N * measure) into
 O(unique_configs * measure + N * cheap) and removes the per-attestation
-hash from sweeps; ``scripts/fleet_smoke.py`` gates both the hit-count
-arithmetic and the digest equivalence.
+hash from sweeps; ``tests/services/test_fleet_parallel.py`` gates the
+spin-up hit-count arithmetic and ``tests/mcu/test_statecache.py`` the
+digest equivalence.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ to observe a running deployment:
     the hot path cheap when nobody is observing.
 ``repro.obs.schema``
     The exported-JSON schema and a dependency-free validator, used by
-    the ``repro metrics`` smoke tooling and CI.
+    ``repro metrics`` and the tests.
 
 Attach a telemetry to a session at build time::
 

@@ -11,7 +11,7 @@ The schema dictionaries use a pragmatic subset of JSON-Schema vocabulary
 (``type``, ``required``, ``properties``, ``enum``) that
 :func:`validate_event` / :func:`validate_registry_dump` interpret
 directly -- the container has no ``jsonschema`` package, and the subset
-is all the smoke tooling needs.  Validators return a list of error
+is all the validators need.  Validators return a list of error
 strings (empty = valid) so CI can print every problem at once.
 """
 
@@ -108,7 +108,6 @@ LINT_RULE_IDS = frozenset({
     "DET002",   # stdlib random in simulated-path modules
     "FLT001",   # float arithmetic in cycle-accounting functions
     "TEL001",   # telemetry name not in the schema vocabulary
-    "DEP001",   # deprecated alias use
 })
 
 #: The closed set of key-confidentiality rule identifiers
@@ -215,8 +214,8 @@ SNAPSHOT_DELTA_SCHEMA = {
 
 
 #: Schema of the static-analysis report (``repro verify-profile --json``,
-#: ``repro lint --json`` and ``scripts/analysis_smoke.py`` all emit or
-#: embed this envelope; byte-identical for identical inputs).
+#: ``repro lint --json`` and ``repro analyze`` all emit or embed this
+#: envelope; byte-identical for identical inputs).
 ANALYSIS_SCHEMA = {
     "type": "object",
     "required": ["schema", "profiles", "lint"],
@@ -484,7 +483,8 @@ def validate_analysis_report(report: dict) -> list[str]:
     Checks the envelope, every per-profile invariant report and verdict,
     and the lint section including each (waived) violation entry.  Shape
     only -- whether the verdicts are the *expected* ones for the shipped
-    profiles is policy, enforced by ``scripts/analysis_smoke.py``.
+    profiles is policy, enforced by ``repro analyze`` and
+    ``tests/analysis/test_invariants.py``.
     """
     errors = _check(report, ANALYSIS_SCHEMA, "analysis")
     if not isinstance(report, dict):

@@ -17,7 +17,7 @@ only place a host-time number is taken, gated, checked and written:
 The benches in :data:`BENCHES` are declarations on this core: each
 module's ``run(**sizing)`` keeps its own measurement body, its own
 ``equivalence_check`` and its own thresholds, and returns
-:func:`report`'s envelope.  Sizing keywords exist for smokes and tests;
+:func:`report`'s envelope.  Sizing keywords exist for tests;
 ``repro bench NAME|all`` always runs the declared defaults.  See
 ``docs/performance.md``.
 """
@@ -249,7 +249,7 @@ def failures(payload: dict) -> list[str]:
 
 
 def run(name: str, **sizing) -> dict:
-    """Measure one declared bench; ``sizing`` shrinks it for smokes."""
+    """Measure one declared bench; ``sizing`` shrinks it for tests."""
     if name not in BENCHES:
         raise ConfigurationError(f"unknown bench {name!r}; expected one "
                                  f"of {BENCHES}")

@@ -39,7 +39,7 @@ SHA-1 of its canonical JSON; a delta's ``parent_id`` must equal its
 parent's id, so a chain is verified end to end before any folding.
 :func:`materialize_chain` folds parent -> child overlays into a plain
 full document that is **byte-identical** to one captured directly (the
-equivalence gates in ``scripts/delta_smoke.py`` and
+equivalence gates in ``tests/snapshot/test_delta.py`` and
 ``repro.perf.snapshot`` enforce this); :func:`compact_chain` is the
 user-facing squash.
 """

@@ -1,9 +1,9 @@
 """Deliberately leaky module for the taint analyzer's failure-mode gate.
 
 Every function below violates the key-confidentiality policy in a
-distinct way; ``scripts/taint_smoke.py`` fails if any of them goes
-undetected.  This file lives under a fixture root and is never
-imported.
+distinct way; ``test_taint.py::TestSeededFixture`` fails if any of
+them goes undetected.  This file lives under a fixture root and is
+never imported.
 """
 
 from repro.crypto.kdf import derive_device_key

@@ -59,6 +59,7 @@ def test_schema_is_exported():
     (lambda r: r["points"][0]["seconds"]["measure"].__setitem__(
         "median", "fast"), "expected number"),
     (lambda r: r["host"].__setitem__("cpus", 0), "below minimum"),
+    (lambda r: r["host"].pop("cpus"), "missing required key 'cpus'"),
     (lambda r: r["equivalence"].__setitem__("identical", "yes"),
      "expected boolean"),
     (lambda r: r.__setitem__("points", "oops"), "expected array"),

@@ -10,11 +10,11 @@ counters and merged event traces.
 The hypothesis suite drives the in-process shard primitive
 (``member_indices`` + ``fold_outcomes``) so randomized cases stay fast;
 the process-pool path itself is covered by the
-:class:`~repro.perf.fleet.FleetEngine` tests below and by
-``scripts/fleet_smoke.py``.
+:class:`~repro.perf.fleet.FleetEngine` tests below.
 """
 
 import json
+import time
 from itertools import zip_longest
 
 from hypothesis import given, settings, strategies as st
@@ -194,9 +194,31 @@ class TestFleetEngine:
         assert plain.sweep() == report
 
     def test_process_pool_equivalence(self):
-        result = equivalence_check(default_equivalence_spec(4),
+        """Faults, jittered retries and telemetry: the sharded engine
+        agrees with the sequential seed path on every report, breaker
+        state, attestation count, registry dump and trace record."""
+        result = equivalence_check(default_equivalence_spec(6),
                                    workers=2, sweeps=2)
         assert result["identical"], result["mismatched_fields"]
+
+    def test_cached_spin_up_measures_once(self):
+        """A shared digest cache turns spin-up into one measurement plus
+        N-1 hits, and does not make spin-up slower (20% tolerance for
+        host noise)."""
+        spec = FleetSpec(size=8,
+                         device_config=DeviceConfig(ram_size=512 * 1024,
+                                                    flash_size=512 * 1024,
+                                                    app_size=2 * 1024),
+                         seed="fleet-smoke-spinup")
+        begin = time.perf_counter()
+        spec.build()
+        uncached = time.perf_counter() - begin
+        cache = StateDigestCache()
+        begin = time.perf_counter()
+        spec.build(state_cache=cache)
+        cached = time.perf_counter() - begin
+        assert (cache.misses, cache.hits) == (1, 7)
+        assert cached <= uncached * 1.2, (cached, uncached)
 
     def test_breaker_state_survives_across_parallel_sweeps(self):
         """Shard swarms are resident: a member that keeps failing must

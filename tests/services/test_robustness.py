@@ -6,7 +6,11 @@ from repro.core import build_session
 from repro.core.messages import AttestationRequest
 from repro.core.resilience import RetryPolicy
 from repro.net.channel import Verdict
-from repro.net.faults import BernoulliLoss, FaultPipeline, LatencyJitter
+from repro.crypto.rng import DeterministicRng
+from repro.net.faults import (BernoulliLoss, Duplicator, FaultPipeline,
+                              LatencyJitter)
+from repro.obs.schema import validate_jsonl_trace, validate_registry_dump
+from repro.obs.telemetry import Telemetry
 from repro.services.monitor import AttestationMonitor, MonitorPolicy
 from repro.services.swarm import Swarm, SweepReport
 from tests.conftest import tiny_config
@@ -85,9 +89,10 @@ class TestMonitorOverLossyChannel:
         session.learn_reference_state()
         monitor = AttestationMonitor(
             session,
-            policy=MonitorPolicy(interval_seconds=10.0,
-                                 retry_delay_seconds=0.001,
-                                 max_retries=1, failure_threshold=99))
+            policy=MonitorPolicy(interval_seconds=10.0, failure_threshold=99,
+                                 retry=RetryPolicy(
+                                     attempt_timeout_seconds=0.001,
+                                     max_retries=1)))
         monitor.run(rounds=3)
         kinds = [e.kind for e in monitor.events]
         # Round 1 has no measured round trip yet and fails its tight
@@ -95,18 +100,6 @@ class TestMonitorOverLossyChannel:
         # teaches the monitor the true duration, so rounds 2+ are clean.
         assert kinds[-2:] == ["ok", "ok"]
         assert session.verifier_node.last_round_seconds is not None
-
-    def test_legacy_policy_fields_still_work(self):
-        policy = MonitorPolicy(retry_delay_seconds=3.0, max_retries=4)
-        retry = policy.effective_retry()
-        assert retry.attempt_timeout_seconds == 3.0
-        assert retry.max_retries == 4
-        assert retry.base_backoff_seconds == 0.0
-
-    def test_explicit_retry_policy_wins(self):
-        custom = RetryPolicy(attempt_timeout_seconds=9.0, max_retries=1)
-        policy = MonitorPolicy(retry=custom)
-        assert policy.effective_retry() is custom
 
 
 class TestSweepReportSplit:
@@ -132,11 +125,6 @@ class TestSweepReportSplit:
         report = fleet.sweep()
         assert report.untrusted == ["device-001"]
         assert report.no_response == report.refused == []
-
-    def test_deprecated_unresponsive_alias(self):
-        report = SweepReport(no_response=["a"], refused=["b"])
-        assert report.unresponsive == ["a", "b"]
-        assert not report.healthy
 
     def test_healthy_requires_all_categories_clean(self):
         assert SweepReport(attempted=1, trusted=1).healthy
@@ -223,3 +211,92 @@ class TestFleetDegradation:
         states = [e.fields["state"]
                   for e in telemetry.trace.of_kind("breaker-state")]
         assert states == ["degraded", "quarantined"]
+
+
+def run_campaign(*, loss, rounds, seed="robustness-smoke"):
+    """One seeded campaign over Bernoulli loss composed with latency
+    jitter and duplication (no fault model at all when ``loss`` is 0),
+    attested under a 5-attempt retry policy with jittered backoff."""
+    adversary = None
+    if loss > 0:
+        adversary = FaultPipeline(
+            BernoulliLoss(loss, seed=f"{seed}-loss"),
+            LatencyJitter(0.02, seed=f"{seed}-jitter"),
+            Duplicator(0.25, duplicate_delay_seconds=0.1,
+                       seed=f"{seed}-dup"))
+    telemetry = Telemetry()
+    session = build_session(device_config=tiny_config(),
+                            adversary=adversary, telemetry=telemetry,
+                            seed=seed)
+    session.learn_reference_state()
+    policy = RetryPolicy(attempt_timeout_seconds=2.0, max_retries=4,
+                         base_backoff_seconds=0.25, backoff_factor=2.0,
+                         jitter_fraction=0.1)
+    backoff_rng = DeterministicRng(f"{seed}-backoff")
+    outcomes = []
+    for _ in range(rounds):
+        outcomes.append(session.attest_resilient(policy, rng=backoff_rng))
+        session.sim.run(until=session.sim.now + 15.0)
+    return {
+        "ok": sum(1 for outcome in outcomes if outcome.trusted),
+        "retries": sum(outcome.retries for outcome in outcomes),
+        "timeouts": sum(outcome.timeouts for outcome in outcomes),
+        "channel": session.channel,
+        "transcript": [(e.time, e.sender, e.receiver, e.outcome,
+                        type(e.message).__name__)
+                       for e in session.channel.transcript],
+        "trace_jsonl": telemetry.trace.to_jsonl(),
+        "registry": telemetry.registry.dump(),
+    }
+
+
+def counter_value(registry, name):
+    return sum(metric["value"] for metric in registry["metrics"]
+               if metric["kind"] == "counter" and metric["name"] == name)
+
+
+class TestLossyCampaign:
+    """Six rounds at 20% loss with jitter and duplication."""
+
+    @pytest.fixture(scope="class")
+    def lossy(self):
+        return run_campaign(loss=0.2, rounds=6)
+
+    def test_retries_keep_the_success_rate(self, lossy):
+        assert lossy["ok"] >= 5
+
+    def test_telemetry_agrees_with_channel_accounting(self, lossy):
+        channel, registry = lossy["channel"], lossy["registry"]
+        assert validate_registry_dump(registry) == []
+        assert validate_jsonl_trace(lossy["trace_jsonl"]) == []
+        assert {name: counter_value(registry, name) for name in (
+            "channel.dropped", "channel.duplicated", "channel.delivered",
+            "session.timeouts", "session.retries", "verifier.timeouts")} \
+            == {"channel.dropped": channel.dropped,
+                "channel.duplicated": channel.duplicated,
+                "channel.delivered": channel.delivered,
+                "session.timeouts": lossy["timeouts"],
+                "session.retries": lossy["retries"],
+                "verifier.timeouts": lossy["timeouts"]}
+        assert channel.dropped and channel.duplicated
+        assert lossy["timeouts"] and lossy["retries"]
+        # Every send is forwarded (eventually delivered) or dropped;
+        # duplicates add deliveries without sends.
+        sends = channel.transcript.filter(
+            lambda e: e.outcome in ("forwarded", "delayed", "dropped"))
+        assert len(sends) == (channel.delivered - channel.duplicated
+                              + channel.dropped + channel.sim.pending)
+
+    def test_same_seed_replays_byte_identically(self, lossy):
+        replay = run_campaign(loss=0.2, rounds=6)
+        for key in ("transcript", "trace_jsonl", "registry"):
+            assert replay[key] == lossy[key], key
+
+    def test_no_fault_model_records_no_robustness_counters(self):
+        clean = run_campaign(loss=0.0, rounds=2,
+                             seed="robustness-smoke-clean")
+        assert clean["ok"] == 2
+        for name in ("channel.dropped", "channel.duplicated",
+                     "session.timeouts", "session.retries",
+                     "session.backoff_seconds"):
+            assert counter_value(clean["registry"], name) == 0, name

@@ -12,9 +12,8 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.core.resilience import RetryPolicy
 from repro.errors import SnapshotError
 from repro.incremental import DEFAULT_CHUNK_SIZE, DigestTree
 from repro.mcu.device import DeviceConfig
@@ -23,7 +22,8 @@ from repro.obs.schema import (SNAPSHOT_DELTA_SCHEMA_ID,
                               validate_registry_dump,
                               validate_snapshot_delta)
 from repro.obs.telemetry import Telemetry
-from repro.perf.fleet import FleetEngine, FleetSpec
+from repro.perf.fleet import FleetEngine, FleetSpec, lossy_link
+from repro.perf.snapshot import _update_engine
 from repro.services.swarm import Swarm
 from repro.snapshot import (BlobStore, bisect_replay,
                             checkpoint_trace_length, compact_chain,
@@ -171,11 +171,20 @@ class TestDeltaChain:
         assert "chunks" not in modes
         assert canonical(materialize_chain(chain)) == canonical(full)
 
-    def test_compact_equals_materialize(self):
-        swarm = build_swarm()
+    def test_compact_equals_materialize(self, tmp_path):
+        """``compact_chain`` squashes a chain into one full document
+        that matches the direct snapshot, survives a disk round trip
+        and restores into a twin that continues identically."""
+        swarm = build_swarm(seed="delta-compact")
         swarm.sweep()
         chain, full = capture_chain(swarm, 2)
-        assert canonical(compact_chain(chain)) == canonical(full)
+        compacted = compact_chain(chain)
+        assert canonical(compacted) == canonical(full)
+        save_document(compacted, tmp_path / "compacted.json")
+        assert load_document(tmp_path / "compacted.json") == compacted
+        resumed = build_swarm(seed="delta-compact")
+        resumed.restore(compacted)
+        assert swarm.sweep() == resumed.sweep()
 
     def test_restore_plus_continue_equals_uninterrupted(self):
         live = build_swarm(seed="delta-continue")
@@ -287,11 +296,14 @@ class TestInvalidateTimesDeltaRestore:
 
 
 class TestShardedFleetDelta:
+    SMALL_DEVICE = DeviceConfig(ram_size=8 * 1024, flash_size=16 * 1024,
+                                app_size=2 * 1024)
+
     def test_shard_parallel_chain_folds_and_restores(self):
-        spec = FleetSpec(size=4,
-                         device_config=DeviceConfig(ram_size=8 * 1024,
-                                                    flash_size=16 * 1024,
-                                                    app_size=2 * 1024),
+        """Telemetry on: the shard-parallel chain folds to the full
+        snapshot, and the restored engine continues with the same sweep
+        report and the same merged trace."""
+        spec = FleetSpec(size=4, device_config=self.SMALL_DEVICE,
                          observe=True, incremental=True,
                          seed="delta-fleet-test")
         with FleetEngine(spec, workers=2) as engine:
@@ -301,11 +313,38 @@ class TestShardedFleetDelta:
             chain.append(engine.snapshot(parent=chain[-1]))
             full = engine.snapshot()
             continued = engine.sweep()
+            trace = engine.merged_trace_records()
         folded = materialize_chain(chain)
         assert canonical(folded) == canonical(full)
         with FleetEngine(spec, workers=2) as resumed:
             resumed.restore(folded)
             assert resumed.sweep() == continued
+            assert resumed.merged_trace_records() == trace
+
+    def test_ota_rounds_fold_restore_and_stay_small(self):
+        """A 256-member fleet on two shard workers, two 10%-dirty OTA
+        rounds: the shard-parallel chain folds to the full snapshot,
+        restores and continues identically, and a delta link is less
+        than half the size of a full checkpoint."""
+        spec = FleetSpec(size=256, device_config=self.SMALL_DEVICE,
+                         incremental=True, seed="delta-smoke-fleet")
+        with FleetEngine(spec, workers=2) as engine:
+            engine.sweep()
+            chain = [engine.snapshot()]
+            for round_index in range(2):
+                _update_engine(engine, round_index, 0.10, 4096, True)
+                engine.sweep()
+                chain.append(engine.snapshot(parent=chain[-1]))
+            full = engine.snapshot()
+            continued = engine.sweep()
+            continued_states = engine.device_states()
+        folded = materialize_chain(chain)
+        assert canonical(folded) == canonical(full)
+        with FleetEngine(spec, workers=2) as resumed:
+            resumed.restore(folded)
+            assert resumed.sweep() == continued
+            assert resumed.device_states() == continued_states
+        assert len(canonical(chain[-1])) * 2 < len(canonical(full))
 
     def test_worker_count_mismatch_refuses(self):
         spec = FleetSpec(size=4, incremental=True, seed="delta-fleet-wc")
@@ -332,19 +371,41 @@ class TestBisect:
         return documents, truth.merged_trace_records()
 
     def test_finds_the_exact_first_flip_cheaper_than_linear(self):
-        documents, records = self.run_with_checkpoints("bisect-unit", 12)
+        """A fault-injected, retrying fleet checkpointed every sweep for
+        24 sweeps.  Bisection finds the exact first breaker transition
+        (an early, non-monotone query) and the exact first record past
+        80% of the run's simulated time; the deep search re-generates
+        fewer events than a linear scan from the oldest checkpoint."""
+        def build():
+            return build_swarm(size=5, retry=RetryPolicy(
+                attempt_timeout_seconds=5.0, max_retries=2,
+                base_backoff_seconds=1.0, jitter_fraction=0.5),
+                adversary_factory=lossy_link, seed="delta-smoke-bisect")
+
+        recorded = build()
+        documents = [recorded.snapshot()]
+        truth = build()
+        for _ in range(24):
+            recorded.sweep()
+            documents.append(recorded.snapshot(parent=documents[-1]))
+            truth.sweep()
+        records = truth.merged_trace_records()
+
+        def first(predicate):
+            expected = next(r for r in records if predicate(r))
+            found = bisect_replay(build(), documents, predicate)
+            assert found["seq"] == expected["seq"]
+            assert found["record"] == expected
+            assert found["probes"] > 0
+            return found
+
+        first(lambda record: record["kind"] == "breaker-state")
         threshold = records[-1]["time"] * 0.8
-        predicate = lambda record: record["time"] >= threshold
-        expected = next(r for r in records if predicate(r))
-        found = bisect_replay(build_swarm(size=2, seed="bisect-unit"),
-                              documents, predicate)
-        assert found["seq"] == expected["seq"]
-        assert found["record"] == expected
-        assert found["probes"] > 0
-        baseline = linear_scan(build_swarm(size=2, seed="bisect-unit"),
-                               documents[0], predicate)
-        assert baseline["seq"] == expected["seq"]
-        assert found["events_replayed"] < baseline["events_replayed"]
+        deep = first(lambda record: record["time"] >= threshold)
+        baseline = linear_scan(build(), documents[0],
+                               lambda record: record["time"] >= threshold)
+        assert baseline["seq"] == deep["seq"]
+        assert deep["events_replayed"] < baseline["events_replayed"]
 
     def test_checkpoint_trace_length_anchors_the_axis(self):
         documents, records = self.run_with_checkpoints("bisect-len", 2)
@@ -367,28 +428,28 @@ class TestBisect:
 
 
 class TestRoundTripProperties:
-    @given(profile_index=st.integers(min_value=0,
-                                     max_value=len(ALL_PROFILES) - 1),
-           clock_kind=st.sampled_from(["hw64", "hw32div", "sw", "none"]),
-           links=st.integers(min_value=1, max_value=3),
-           size=st.integers(min_value=2, max_value=3))
-    @settings(max_examples=10, deadline=None)
-    def test_chain_identity_across_profiles_and_clocks(
-            self, profile_index, clock_kind, links, size):
-        profile = ALL_PROFILES[profile_index]
-        seed = f"hyp-delta:{profile.name}:{clock_kind}:{links}:{size}"
+    VARIANTS = [
+        *((f"profile={profile.name}", {"profile": profile})
+          for profile in ALL_PROFILES),
+        *((f"clock={kind}", {"device_config": DeviceConfig(clock_kind=kind)})
+          for kind in ("hw64", "hw32div", "sw", "none")),
+    ]
 
-        def build():
-            return Swarm(size, profile=profile,
-                         device_config=DeviceConfig(clock_kind=clock_kind),
-                         observe=True, incremental=True, seed=seed)
-
-        live = build()
-        live.sweep()
-        chain, full = capture_chain(live, links)
-        assert canonical(materialize_chain(chain)) == canonical(full)
-        resumed = build()
-        resumed.restore(materialize_chain(chain))
-        assert live.sweep() == resumed.sweep()
-        assert (live.freshness_fingerprint()
-                == resumed.freshness_fingerprint())
+    def test_chain_identity_across_profiles_and_clocks(self):
+        """Under every protection profile and every clock design, a
+        3-member swarm's two-link chain folds to the direct full
+        snapshot, and restoring the fold continues with the same sweep
+        report, merged trace and freshness fingerprint."""
+        for label, variant in self.VARIANTS:
+            live = build_swarm(seed=f"delta-variant:{label}", **variant)
+            live.sweep()
+            chain, full = capture_chain(live, 2)
+            folded = materialize_chain(chain)
+            assert canonical(folded) == canonical(full), label
+            resumed = build_swarm(seed=f"delta-variant:{label}", **variant)
+            resumed.restore(folded)
+            assert live.sweep() == resumed.sweep(), label
+            assert (live.merged_trace_records()
+                    == resumed.merged_trace_records()), label
+            assert (live.freshness_fingerprint()
+                    == resumed.freshness_fingerprint()), label

@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.resilience import RetryPolicy
 from repro.errors import SnapshotError
-from repro.perf.fleet import FleetEngine, FleetSpec
-from repro.snapshot import build_swarm_from_spec, swarm_spec
+from repro.perf.fleet import FleetEngine, FleetSpec, lossy_link
+from repro.services.swarm import Swarm
+from repro.snapshot import (build_swarm_from_spec, load_document,
+                            save_document, swarm_spec)
 
 
 def fingerprint(swarm):
@@ -73,6 +76,26 @@ class TestSwarmRoundTrip:
             b.restore(a.snapshot())
 
 
+class TestDedup:
+    def test_fleet_snapshot_holds_n_plus_two_images(self, tmp_path):
+        """A size-N honest fleet shares one flash and one RAM image;
+        only the N per-member ROM keys differ.  The document survives
+        JSON and disk round trips unchanged."""
+        swarm = Swarm(5, retry=RetryPolicy(attempt_timeout_seconds=5.0,
+                                           max_retries=2,
+                                           base_backoff_seconds=1.0,
+                                           jitter_fraction=0.5),
+                      adversary_factory=lossy_link, observe=True,
+                      seed="snapshot-smoke")
+        swarm.sweep()
+        swarm.sweep()
+        document = swarm.snapshot()
+        assert len(document["blobs"]) == 5 + 2
+        assert document == json.loads(json.dumps(document))
+        save_document(document, tmp_path / "checkpoint.json")
+        assert load_document(tmp_path / "checkpoint.json") == document
+
+
 class TestReplay:
     def test_replay_reproduces_an_exact_trace_prefix(self):
         spec = swarm_spec(size=3, faults=True, seed="replay")
@@ -118,6 +141,7 @@ class TestFleetEngine:
             live.sweep()
             expected_states = live.device_states()
             expected_registry = live.merged_registry().dump()
+            expected_trace = live.merged_trace_records()
             expected_cache = live.cache_stats()
 
         with FleetEngine(spec, workers=2) as resumed:
@@ -126,6 +150,7 @@ class TestFleetEngine:
             assert resumed.sweeps_run == 2
             assert resumed.device_states() == expected_states
             assert resumed.merged_registry().dump() == expected_registry
+            assert resumed.merged_trace_records() == expected_trace
             assert resumed.cache_stats() == expected_cache
 
     def test_fleet_document_restores_into_sequential_swarm(self):

@@ -2,11 +2,16 @@
 gates, and the refusal to write a report with unclean equivalence."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ReproError
 from repro.perf import bench
+
+
+#: Every host-time report checked in at the repository root.
+CHECKED_IN = sorted(Path(__file__).resolve().parents[1].glob("BENCH_*.json"))
 
 
 def fake_report(*, passed=True, identical=True) -> dict:
@@ -72,3 +77,16 @@ def test_unknown_bench_is_a_configuration_error():
     from repro.errors import ConfigurationError
     with pytest.raises(ConfigurationError):
         bench.run("turbo")
+
+
+def test_host_time_reports_are_checked_in():
+    assert CHECKED_IN
+
+
+@pytest.mark.parametrize("path", CHECKED_IN, ids=lambda path: path.name)
+def test_checked_in_report_is_valid_and_clean(path):
+    """Each checked-in report is a valid envelope whose gates passed and
+    whose equivalence block is clean."""
+    document = json.loads(path.read_text())
+    assert bench.validate(document) == []
+    assert bench.failures(document) == []

@@ -139,9 +139,11 @@ class TestCommands:
 
     def test_fleet_bench_json(self, capsys, tmp_path, small_fleet):
         import json
+
+        from repro.perf import bench
         code = main(["bench", "fleet", "--json", "--out", str(tmp_path)])
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "repro.perf.bench/v1"
+        assert bench.validate(report) == []
         assert report["bench"] == "fleet"
         assert report["host"]["cpus"] >= 1
         assert report["equivalence"]["identical"] is True
@@ -176,6 +178,8 @@ class TestCommands:
         assert report["equivalence"]["identical"] is True
 
     def test_metrics_to_files(self, tmp_path):
+        """Both exports validate against their schemas and carry the
+        protocol's core events and metrics."""
         import json
 
         from repro.obs import validate_jsonl_trace, validate_registry_dump
@@ -185,27 +189,48 @@ class TestCommands:
                      "--trace-out", str(trace),
                      "--registry-out", str(registry)]) == 0
         assert validate_jsonl_trace(trace.read_text()) == []
-        assert validate_registry_dump(
-            json.loads(registry.read_text())) == []
+        dump = json.loads(registry.read_text())
+        assert validate_registry_dump(dump) == []
+        kinds = {json.loads(line)["kind"]
+                 for line in trace.read_text().splitlines() if line}
+        assert {"request-received", "request-accepted",
+                "measurement-start", "measurement-end",
+                "channel-send"} <= kinds
+        names = {metric["name"] for metric in dump["metrics"]}
+        assert {"prover.requests.received", "prover.requests.accepted",
+                "prover.attestation_cycles", "cpu.cycles",
+                "channel.sent"} <= names
 
+    @pytest.mark.parametrize("command, flag, stale", [
+        ("lint", "--waivers",
+         [{"rule": "DET002", "path": "src/repro/gone.py",
+           "reason": "waives nothing"}]),
+        ("taint", "--policy",
+         {"policy_sinks": [{"kind": "blob-store",
+                            "path": "src/repro/gone.py",
+                            "reason": "matches no sink"}]}),
+    ], ids=["lint", "taint"])
+    def test_stale_entry_fails_unless_allowed(self, tmp_path, command,
+                                              flag, stale):
+        """A waiver or policy entry matching nothing fails the command;
+        ``--allow-stale`` is the only escape."""
+        import json
+        module = tmp_path / "src" / "repro" / "mod.py"
+        module.parent.mkdir(parents=True)
+        module.write_text("VALUE = 1\n")
+        (tmp_path / "stale.json").write_text(json.dumps(stale))
+        argv = [command, "--root", str(tmp_path)]
+        assert main(argv) == 0
+        assert main(argv + [flag, "stale.json"]) == 1
+        assert main(argv + [flag, "stale.json", "--allow-stale"]) == 0
 
-class TestMetricsSmokeScript:
-    def test_smoke_script_passes(self, tmp_path):
-        """The CI smoke script: run `repro metrics` on the quickstart
-        scenario and validate both exports against the schemas."""
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parents[1]
-        script = repo / "scripts" / "metrics_smoke.py"
-        env_path = str(repo / "src")
-        proc = subprocess.run(
-            [sys.executable, str(script), "--ram-kb", "8",
-             "--keep", str(tmp_path)],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"})
-        assert proc.returncode == 0, proc.stderr
-        assert "metrics-smoke: OK" in proc.stderr
-        assert (tmp_path / "trace.jsonl").is_file()
-        assert (tmp_path / "registry.json").is_file()
+    @pytest.mark.parametrize("command", ["lint", "taint", "analyze"])
+    @pytest.mark.parametrize("root", ["missing", "empty"])
+    def test_scan_of_nothing_fails(self, capsys, tmp_path, command, root):
+        """A root that does not exist, or holds no Python file, is a
+        configuration error naming the path, not a vacuous pass."""
+        path = tmp_path / root
+        if root == "empty":
+            (path / "src" / "repro").mkdir(parents=True)
+        assert main([command, "--root", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
