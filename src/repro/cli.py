@@ -573,7 +573,7 @@ def _cmd_snapshot_save(args) -> int:
     """Run a fleet for a few sweeps, then checkpoint it to a file.
 
     With ``--parent`` the fleet resumes from that checkpoint (itself
-    full or delta) and the new file is a ``repro.snapshot.delta/v1``
+    full or delta) and the new file is a ``repro.snapshot.delta/v2``
     document recording only the chunks dirtied since the parent, with
     ``meta.parent_path`` linking the chain for ``compact``/``bisect``.
     """

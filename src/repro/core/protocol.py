@@ -239,9 +239,9 @@ class Session:
         The session must be quiescent (no scheduled simulation events,
         no context on the CPU stack) -- see :mod:`repro.snapshot`.
         With ``parent`` (a session-kind document this run descends
-        from), the capture is a ``repro.snapshot.delta/v1`` delta
-        storing only chunks changed since the parent (see
-        :mod:`repro.snapshot.delta`).
+        from), the capture is a ``repro.snapshot.delta/v2`` delta
+        storing only the chunks changed and the log records appended
+        since the parent (see :mod:`repro.snapshot.delta`).
         """
         from ..snapshot import (BlobStore, DeltaBase, document_id,
                                 make_delta_document, make_document,

@@ -24,6 +24,7 @@ from .trace import EVENT_KINDS
 __all__ = ["EVENT_SCHEMA", "REGISTRY_SCHEMA", "ANALYSIS_SCHEMA",
            "SNAPSHOT_SCHEMA", "SNAPSHOT_SCHEMA_ID",
            "SNAPSHOT_DELTA_SCHEMA", "SNAPSHOT_DELTA_SCHEMA_ID",
+           "SNAPSHOT_DELTA_SCHEMA_IDS",
            "METRIC_NAMES", "INVARIANT_NAMES", "LINT_RULE_IDS",
            "TAINT_RULE_IDS",
            "validate_event", "validate_jsonl_trace",
@@ -189,20 +190,40 @@ _SNAPSHOT_STATE_REQUIRED = {
 
 #: Version identifier of *delta* checkpoint documents: a checkpoint
 #: recorded against a parent document, carrying per region only the
-#: chunks whose ``DigestTree`` leaves are dirty since the parent (see
+#: chunks whose ``DigestTree`` leaves are dirty since the parent, and
+#: per append-only log only the records appended since the parent (see
 #: ``repro.snapshot.delta`` and ``docs/checkpoint.md``).
-SNAPSHOT_DELTA_SCHEMA_ID = "repro.snapshot.delta/v1"
+SNAPSHOT_DELTA_SCHEMA_ID = "repro.snapshot.delta/v2"
+
+#: Every delta version this tree reads.  ``v1`` deltas carry every log
+#: as a full list, which a ``v2`` fold accepts as-is; captures write
+#: ``v2`` only.
+SNAPSHOT_DELTA_SCHEMA_IDS = (SNAPSHOT_DELTA_SCHEMA_ID,
+                             "repro.snapshot.delta/v1")
 
 #: Schema of a delta-checkpoint envelope.  Same shape as
 #: :data:`SNAPSHOT_SCHEMA` plus the mandatory ``parent_id`` -- the
 #: canonical-JSON SHA-1 of the parent document, which chains deltas and
 #: lets restore refuse a mismatched parent.  The service kind has no
 #: region images and therefore no delta form.
+#:
+#: Inside ``state``, a member session's four append-only logs
+#: (``telemetry.trace.records``, ``channel.transcript``,
+#: ``verifier_node.results``, ``anchor.busy_intervals``) are each
+#: either the full record list, as in a full snapshot, or a tail
+#: ``{"base": int, "sha1": hex, "records": [...]}``: ``base`` is the
+#: parent's record count (for the trace, counting front-dropped
+#: events), ``records`` are the records appended since, and ``sha1``
+#: is the rolling digest ``SHA-1(parent digest || canonical JSON of
+#: records)``, where a full list's digest is ``SHA-1(canonical JSON of
+#: the list)``.  Tails are checked when a chain is folded
+#: (``repro.snapshot.delta.materialize_chain``), not here.
 SNAPSHOT_DELTA_SCHEMA = {
     "type": "object",
     "required": ["schema", "kind", "blobs", "state", "parent_id"],
     "properties": {
-        "schema": {"type": "string", "enum": [SNAPSHOT_DELTA_SCHEMA_ID]},
+        "schema": {"type": "string",
+                   "enum": list(SNAPSHOT_DELTA_SCHEMA_IDS)},
         "kind": {"type": "string",
                  "enum": ["session", "swarm", "fleet"]},
         "blobs": {"type": "object"},
@@ -445,7 +466,7 @@ def validate_snapshot(document: dict) -> list[str]:
 
 
 def validate_snapshot_delta(document: dict) -> list[str]:
-    """Validate a decoded ``repro.snapshot.delta/v1`` envelope.
+    """Validate a decoded ``repro.snapshot.delta/v2`` (or ``v1``) envelope.
 
     Same structural checks as :func:`validate_snapshot` (blob keys are
     content-address hex -- region fingerprints, chunk leaf digests or

@@ -434,7 +434,7 @@ restore>` accepts the same document for sequential resume.
 
         With ``parent`` (a fleet-kind document this engine descends
         from -- full or delta, same worker count and shard partition),
-        every shard captures a ``repro.snapshot.delta/v1`` delta
+        every shard captures a ``repro.snapshot.delta/v2`` delta
         *in parallel* against its own slice of the parent: each worker
         receives only its members' parent records, diffs its regions'
         digest-tree leaves, and ships back O(dirty) chunk blobs.

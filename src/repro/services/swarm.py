@@ -416,9 +416,10 @@ class Swarm:
         the document costs O(unique memory histories), not
         O(members * writable bytes).  With ``parent`` (a swarm-kind
         document this run descends from -- full or delta), the capture
-        is a ``repro.snapshot.delta/v1`` **delta**: per region, only
+        is a ``repro.snapshot.delta/v2`` **delta**: per region, only
         chunks whose digest-tree leaves changed since the parent are
-        stored.  See :mod:`repro.snapshot` and
+        stored, and per append-only log only the records appended
+        since.  See :mod:`repro.snapshot` and
         :mod:`repro.snapshot.delta`.
         """
         from ..snapshot import (BlobStore, DeltaBase, document_id,

@@ -24,8 +24,9 @@ Entry points:
 * :func:`replay_to_seq` -- restore and re-drive a swarm until its
   merged event trace reaches a target sequence number;
 * ``snapshot(parent=...)`` on each entry point -- **delta** capture
-  (``repro.snapshot.delta/v1``): record only the chunks whose digest-
-  tree leaves changed since a parent checkpoint, with
+  (``repro.snapshot.delta/v2``): record only the chunks whose digest-
+  tree leaves changed since a parent checkpoint and only the records
+  each append-only log gained since, with
   :func:`materialize_chain` / :func:`compact_chain` folding a chain
   back into a byte-identical full document (see
   :mod:`repro.snapshot.delta`);

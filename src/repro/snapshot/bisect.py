@@ -25,8 +25,8 @@ mixing both is materialized checkpoint by checkpoint.
 from __future__ import annotations
 
 from ..errors import SnapshotError
-from ..obs.schema import SNAPSHOT_DELTA_SCHEMA_ID
-from .delta import _session_states, materialize_chain
+from ..obs.schema import SNAPSHOT_DELTA_SCHEMA_IDS
+from .delta import _session_states, log_length, materialize_chain
 
 __all__ = ["bisect_replay", "checkpoint_trace_length", "linear_scan"]
 
@@ -42,7 +42,7 @@ def checkpoint_trace_length(document: dict) -> int:
             raise SnapshotError(
                 "bisection needs observed checkpoints (the captured "
                 "swarm must have been built with observe=True)")
-        total += len(telemetry["trace"]["records"])
+        total += log_length(session, "telemetry.trace.records")
     return total
 
 
@@ -54,7 +54,7 @@ def _materialize_all(documents: list[dict]) -> list[dict]:
     full = []
     chain_start = 0
     for index, document in enumerate(documents):
-        if document.get("schema") == SNAPSHOT_DELTA_SCHEMA_ID:
+        if document.get("schema") in SNAPSHOT_DELTA_SCHEMA_IDS:
             if index == 0:
                 raise SnapshotError(
                     "checkpoint list starts with a delta document; the "

@@ -29,7 +29,7 @@ import os
 import tempfile
 
 from ..errors import SnapshotError
-from ..obs.schema import (SNAPSHOT_DELTA_SCHEMA_ID, SNAPSHOT_SCHEMA_ID,
+from ..obs.schema import (SNAPSHOT_DELTA_SCHEMA_IDS, SNAPSHOT_SCHEMA_ID,
                           validate_snapshot, validate_snapshot_delta)
 from .blobs import BlobStore
 
@@ -86,7 +86,7 @@ def load_document(path: str) -> dict:
     with open(path) as handle:
         document = json.load(handle)
     if (isinstance(document, dict)
-            and document.get("schema") == SNAPSHOT_DELTA_SCHEMA_ID):
+            and document.get("schema") in SNAPSHOT_DELTA_SCHEMA_IDS):
         errors = validate_snapshot_delta(document)
     else:
         errors = validate_snapshot(document)

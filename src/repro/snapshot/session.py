@@ -27,6 +27,7 @@ from ..obs.trace import EventTrace, TraceEvent
 from .blobs import BlobStore
 from .codec import (b64, decode_message, encode_adversary, encode_message,
                     restore_adversary, restore_rng, rng_state, unb64)
+from .delta import _LOG_MEMO_ATTR, capture_log
 from .device import restore_device, snapshot_device
 
 __all__ = ["snapshot_session", "restore_session"]
@@ -37,7 +38,10 @@ def snapshot_session(session, blobs: BlobStore, parent=None) -> dict:
 
     With a ``parent`` (:class:`repro.snapshot.delta.ParentMember`), the
     device's region records carry chunk deltas against the parent
-    checkpoint instead of whole images (see ``repro.snapshot.delta``).
+    checkpoint instead of whole images, and each append-only log
+    (trace, transcript, verifier results, busy intervals) stores only
+    the records added since the parent where it can prove the parent
+    holds the rest (see ``repro.snapshot.delta``).
     """
     if session.sim.pending:
         raise SnapshotError(
@@ -51,11 +55,11 @@ def snapshot_session(session, blobs: BlobStore, parent=None) -> dict:
         "sim": {"now": session.sim.now,
                 "events_processed": session.sim.events_processed},
         "device": snapshot_device(session.device, blobs, parent=parent),
-        "channel": _snapshot_channel(session.channel),
+        "channel": _snapshot_channel(session, parent),
         "verifier": _snapshot_verifier(session.verifier),
-        "verifier_node": _snapshot_verifier_node(session.verifier_node),
-        "anchor": _snapshot_anchor(session.anchor),
-        "telemetry": _snapshot_telemetry(session.telemetry),
+        "verifier_node": _snapshot_verifier_node(session, parent),
+        "anchor": _snapshot_anchor(session, parent),
+        "telemetry": _snapshot_telemetry(session, parent),
     }
 
 
@@ -68,6 +72,7 @@ def restore_session(session, snap: dict, blobs: BlobStore) -> None:
     field, after which continuing the session is byte-identical to
     never having stopped.
     """
+    session.__dict__.pop(_LOG_MEMO_ATTR, None)
     session.sim.now = snap["sim"]["now"]
     session.sim.events_processed = snap["sim"]["events_processed"]
     restore_device(session.device, snap["device"], blobs)
@@ -82,7 +87,14 @@ def restore_session(session, snap: dict, blobs: BlobStore) -> None:
 # Channel (transcript, counters, fault state)
 # ---------------------------------------------------------------------------
 
-def _snapshot_channel(channel) -> dict:
+def _encode_transcript_entry(entry) -> dict:
+    return {"time": entry.time, "sender": entry.sender,
+            "receiver": entry.receiver, "outcome": entry.outcome,
+            "message": encode_message(entry.message)}
+
+
+def _snapshot_channel(session, parent) -> dict:
+    channel = session.channel
     return {
         "latency_rng": rng_state(channel._latency_rng),
         "delivered": channel.delivered,
@@ -90,10 +102,9 @@ def _snapshot_channel(channel) -> dict:
         "injected": channel.injected,
         "duplicated": channel.duplicated,
         "adversary": encode_adversary(channel.adversary),
-        "transcript": [{"time": entry.time, "sender": entry.sender,
-                        "receiver": entry.receiver, "outcome": entry.outcome,
-                        "message": encode_message(entry.message)}
-                       for entry in channel.transcript._entries],
+        "transcript": capture_log(session, "channel.transcript",
+                                  channel.transcript._entries,
+                                  _encode_transcript_entry, parent),
     }
 
 
@@ -140,7 +151,8 @@ def _restore_verifier(verifier, state: dict) -> None:
     restore_rng(verifier._challenge_rng, state["challenge_rng"])
 
 
-def _snapshot_verifier_node(node) -> dict:
+def _snapshot_verifier_node(session, parent) -> dict:
+    node = session.verifier_node
     return {
         "outstanding": [b64(request.to_bytes())
                         for request in node._outstanding],
@@ -148,8 +160,9 @@ def _snapshot_verifier_node(node) -> dict:
         # request-time table, so it is serialized as ordered pairs.
         "request_times": [[challenge.hex(), when]
                           for challenge, when in node._request_times.items()],
-        "results": [[r.authentic, r.state_known_good, r.detail]
-                    for r in node.results],
+        "results": capture_log(
+            session, "verifier_node.results", node.results,
+            lambda r: [r.authentic, r.state_known_good, r.detail], parent),
         "last_result_time": node.last_result_time,
         "last_round_seconds": node.last_round_seconds,
     }
@@ -171,12 +184,14 @@ def _restore_verifier_node(node, state: dict) -> None:
 # Prover trust anchor
 # ---------------------------------------------------------------------------
 
-def _snapshot_anchor(anchor) -> dict:
+def _snapshot_anchor(session, parent) -> dict:
+    anchor = session.anchor
     nonces = anchor.state._nonces
     return {
         "last_attest_seconds": anchor._last_attest_seconds,
-        "busy_intervals": [[start, end]
-                           for start, end in anchor.busy_intervals],
+        "busy_intervals": capture_log(
+            session, "anchor.busy_intervals", anchor.busy_intervals,
+            list, parent),
         "stats": {"received": anchor.stats.received,
                   "accepted": anchor.stats.accepted,
                   "rejected": dict(anchor.stats.rejected),
@@ -213,13 +228,17 @@ def _restore_anchor(anchor, state: dict) -> None:
 # Telemetry (metrics registry + event trace)
 # ---------------------------------------------------------------------------
 
-def _snapshot_telemetry(telemetry) -> dict | None:
+def _snapshot_telemetry(session, parent) -> dict | None:
+    telemetry = session.telemetry
     if not telemetry.enabled or telemetry.registry is None:
         return None
     trace = telemetry.trace
     return {
         "registry": telemetry.registry.dump(),
-        "trace": {"records": trace.as_records(),
+        "trace": {"records": capture_log(
+                      session, "telemetry.trace.records", trace.events,
+                      TraceEvent.as_dict, parent,
+                      offset=trace.dropped_events),
                   "seq": trace._seq,
                   "dropped_events": trace.dropped_events,
                   "max_events": trace.max_events},

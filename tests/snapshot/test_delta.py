@@ -292,7 +292,22 @@ class TestInvalidateTimesDeltaRestore:
         resumed.sweep()
         live_delta = live.snapshot(parent=chain[-1])
         resumed_delta = resumed.snapshot(parent=chain[-1])
-        assert canonical(live_delta) == canonical(resumed_delta)
+        # Region deltas come from the rebuilt digest trees and must
+        # match exactly; the restored object has no log memo, so its
+        # logs travel in full where the live one writes tails.  Both
+        # fold to the same full document.
+        for live_member, resumed_member in zip(
+                live_delta["state"]["members"],
+                resumed_delta["state"]["members"]):
+            assert (live_member["session"]["device"]
+                    == resumed_member["session"]["device"])
+            assert isinstance(
+                live_member["session"]["channel"]["transcript"], dict)
+            assert isinstance(
+                resumed_member["session"]["channel"]["transcript"], list)
+        assert live_delta["blobs"] == resumed_delta["blobs"]
+        assert (canonical(materialize_chain(chain + [live_delta]))
+                == canonical(materialize_chain(chain + [resumed_delta])))
 
 
 class TestShardedFleetDelta:
