@@ -18,6 +18,11 @@ The ECDSA row is the paper's paradox: authenticating a request costs the
 prover almost as much as attestation itself, so public-key schemes are
 ruled out for low-end provers.
 
+:class:`SpeckTagLanes` precomputes the Speck tags of many
+authenticators in one lane-packed pass (a fleet sweep); each
+authenticator then answers its own next :meth:`tag` from that memo.
+Host time only: simulated cycles come from the cost model either way.
+
 Authenticators are symmetric objects: the verifier calls :meth:`tag`, the
 prover calls :meth:`verify`.  For ECDSA the two sides are constructed
 differently (signer holds the private key, verifier of the tag -- i.e.
@@ -26,18 +31,21 @@ the prover -- holds only the public point).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from ..crypto.aes import AES128
 from ..crypto.costmodel import CryptoCostModel
 from ..crypto.ecc import (CurveParams, EccPoint, EcdsaKeyPair, SECP160R1,
                           ecdsa_sign, ecdsa_verify)
 from ..crypto.hmac import constant_time_compare, hmac_sha1
-from ..crypto.modes import cbc_mac
-from ..crypto.speck import Speck64_128
+from ..crypto.modes import cbc_mac, cbc_mac_encode
+from ..crypto.speck import BLOCK_SIZE, Speck64_128, SpeckLanes
 from ..errors import ConfigurationError, InvalidSignatureError
 
 __all__ = ["RequestAuthenticator", "NullAuthenticator", "HmacAuthenticator",
            "AesCbcMacAuthenticator", "SpeckCbcMacAuthenticator",
-           "EcdsaAuthenticator", "make_symmetric_authenticator"]
+           "EcdsaAuthenticator", "SpeckTagLanes",
+           "make_symmetric_authenticator"]
 
 
 class RequestAuthenticator:
@@ -101,14 +109,27 @@ class AesCbcMacAuthenticator(RequestAuthenticator):
 
 
 class SpeckCbcMacAuthenticator(RequestAuthenticator):
-    """Speck 64/128 CBC-MAC: the paper's cheapest viable scheme."""
+    """Speck 64/128 CBC-MAC: the paper's cheapest viable scheme.
+
+    ``_memo`` is a one-entry ``(payload, tag)`` cache that only
+    :class:`SpeckTagLanes` fills, with the MAC of ``payload`` under this
+    authenticator's own cipher.  :meth:`tag` answers from it once, and
+    only for a byte-identical payload; anything else is computed here.
+    So :meth:`verify` still compares MAC_K(payload) against the received
+    tag, whichever path produced MAC_K(payload).
+    """
 
     scheme = "speck-64/128-cbc-mac"
 
     def __init__(self, key: bytes):
         self._cipher = Speck64_128(key)
+        self._memo: tuple[bytes, bytes] | None = None
 
     def tag(self, payload: bytes) -> bytes:
+        memo = self._memo
+        if memo is not None and memo[0] == payload:
+            self._memo = None
+            return memo[1]
         return cbc_mac(self._cipher, payload)
 
     def verify(self, payload: bytes, tag: bytes) -> bool:
@@ -160,6 +181,44 @@ class EcdsaAuthenticator(RequestAuthenticator):
             return ecdsa_verify(self._curve, self._public, payload, (r, s))
         except InvalidSignatureError:
             return False
+
+
+class SpeckTagLanes:
+    """One lane-packed Speck pass that primes many authenticators' memos.
+
+    Built for a fixed list of :class:`SpeckCbcMacAuthenticator`; packs
+    their ciphers' round keys once (:class:`~repro.crypto.speck.\
+SpeckLanes`).  :meth:`precompute` MACs one payload per authenticator
+    under that authenticator's own cipher and leaves the tag in its
+    memo, for its next :meth:`~SpeckCbcMacAuthenticator.tag` to answer.
+    The memos hold tags only, never key material.
+    """
+
+    def __init__(self, authenticators: Sequence[SpeckCbcMacAuthenticator]):
+        self._authenticators = tuple(authenticators)
+        self._lanes = SpeckLanes([auth._cipher
+                                  for auth in self._authenticators])
+
+    def serves(self, authenticators: Sequence[SpeckCbcMacAuthenticator]
+               ) -> bool:
+        """Whether this pass was packed from exactly these
+        authenticators' current ciphers, in this order."""
+        ciphers = self._lanes.ciphers
+        return (len(authenticators) == len(ciphers)
+                and all(auth._cipher is cipher
+                        for auth, cipher in zip(authenticators, ciphers)))
+
+    def precompute(self, payloads: Sequence[bytes | None]) -> None:
+        """Memoise each authenticator's tag of its payload (``None``
+        leaves that authenticator alone)."""
+        tags = self._lanes.mac_chains(
+            [None if payload is None else cbc_mac_encode(payload, BLOCK_SIZE)
+             for payload in payloads])
+        # Indexed, not zipped with the authenticators: only the tag and
+        # the public payload enter the memo.
+        for index, tag in enumerate(tags):
+            if tag is not None:
+                self._authenticators[index]._memo = (payloads[index], tag)
 
 
 _SYMMETRIC_SCHEMES = {

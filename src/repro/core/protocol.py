@@ -97,9 +97,11 @@ class VerifierNode:
         self.last_round_seconds: float | None = None
         channel.attach(self)
 
-    def request_attestation(self) -> AttestationRequest:
-        """Issue one attestation request towards the prover."""
-        request = self.verifier.make_request()
+    def request_attestation(self, prepared: AttestationRequest | None = None
+                            ) -> AttestationRequest:
+        """Issue one attestation request towards the prover (``prepared``
+        from :meth:`Verifier.prepare_request` is tagged and sent)."""
+        request = self.verifier.make_request(prepared)
         self._outstanding.append(request)
         self._request_times[request.challenge] = self.sim.now
         if len(self._request_times) > 4096:
@@ -150,13 +152,27 @@ class Session:
     #: sink when the session was built without observation).
     telemetry: Telemetry = field(default=NULL_TELEMETRY)
 
-    def attest_once(self, settle_seconds: float = 5.0) -> VerificationResult:
-        """Run one complete attestation round and return the verdict."""
+    def prepare_request(self) -> AttestationRequest:
+        """The first half of :meth:`attest_once`: step past the epoch,
+        then stamp the next request (untagged) at the current time."""
         if self.sim.now == 0.0:
             # A timestamp of exactly 0 is indistinguishable from the
             # prover's initial last-accepted value; start after the epoch.
             self.sim.run(until=0.001)
-        self.verifier_node.request_attestation()
+        return self.verifier.prepare_request()
+
+    def attest_once(self, settle_seconds: float = 5.0, *,
+                    prepared: AttestationRequest | None = None
+                    ) -> VerificationResult:
+        """Run one complete attestation round and return the verdict.
+
+        ``prepared`` is a request from :meth:`prepare_request` made at
+        the current simulated time; without it the round prepares its
+        own.
+        """
+        if prepared is None:
+            prepared = self.prepare_request()
+        self.verifier_node.request_attestation(prepared)
         self.sim.run(until=self.sim.now + settle_seconds)
         if not self.verifier_node.results:
             return VerificationResult(False, None, "no-response")

@@ -77,13 +77,28 @@ class Verifier:
 
     # ------------------------------------------------------------------
 
-    def make_request(self) -> AttestationRequest:
-        """Build the next authenticated attestation request."""
+    def prepare_request(self) -> AttestationRequest:
+        """Stamp the next request's freshness fields and draw its
+        challenge; the request is not tagged yet.
+
+        Advances the freshness and challenge state exactly as
+        :meth:`make_request` does, so preparing at the simulated time a
+        request would have been made changes nothing observable.
+        """
         fields = self.policy.stamp(self.freshness_state)
-        request = AttestationRequest(
+        return AttestationRequest(
             challenge=self._challenge_rng.bytes(self.challenge_size),
             auth_scheme=self.authenticator.scheme,
             **fields)
+
+    def make_request(self, prepared: AttestationRequest | None = None
+                     ) -> AttestationRequest:
+        """Build the next authenticated attestation request.
+
+        With ``prepared`` (from :meth:`prepare_request`), tag and issue
+        that request instead of preparing a new one.
+        """
+        request = self.prepare_request() if prepared is None else prepared
         tag = self.authenticator.tag(request.signed_payload())
         self.requests_issued += 1
         self.telemetry.count("verifier.requests_issued")

@@ -21,7 +21,8 @@ from typing import Protocol
 
 from ..errors import InvalidBlockError, PaddingError
 
-__all__ = ["BlockCipher", "CBC", "cbc_mac", "pkcs7_pad", "pkcs7_unpad"]
+__all__ = ["BlockCipher", "CBC", "cbc_mac", "cbc_mac_encode", "pkcs7_pad",
+           "pkcs7_unpad"]
 
 
 class BlockCipher(Protocol):
@@ -105,17 +106,29 @@ class CBC:
         return pkcs7_unpad(bytes(out), self.block_size)
 
 
-def cbc_mac(cipher: BlockCipher, message: bytes) -> bytes:
-    """Compute the CBC-MAC tag of ``message`` (last ciphertext block, IV=0).
+def cbc_mac_encode(message: bytes, block_size: int) -> bytes:
+    """The block-aligned chain input :func:`cbc_mac` MACs for ``message``.
 
-    The message is length-prefix encoded (8-byte big-endian length block
-    first) and zero-padded to a block multiple, which makes plain CBC-MAC
-    safe for variable-length inputs as well (the prefix-free encoding
-    defeats the classic length-extension forgery).  Attestation requests in
-    this library have fixed length anyway; the encoding is belt and braces.
+    An 8-byte big-endian length block first (left-padded to
+    ``block_size``), then the message, then zero padding to a block
+    multiple.  The lane-packed Speck path
+    (:class:`repro.core.authenticator.SpeckTagLanes`) encodes through
+    this same function, so both paths chain identical bytes.
     """
-    block_size = cipher.block_size
     encoded = len(message).to_bytes(8, "big").rjust(block_size, b"\x00") + message
     if len(encoded) % block_size:
         encoded += b"\x00" * (block_size - len(encoded) % block_size)
-    return cipher.mac_chain(encoded)
+    return encoded
+
+
+def cbc_mac(cipher: BlockCipher, message: bytes) -> bytes:
+    """Compute the CBC-MAC tag of ``message`` (last ciphertext block, IV=0).
+
+    The message is length-prefix encoded (:func:`cbc_mac_encode`: 8-byte
+    big-endian length block first) and zero-padded to a block multiple,
+    which makes plain CBC-MAC safe for variable-length inputs as well
+    (the prefix-free encoding defeats the classic length-extension
+    forgery).  Attestation requests in this library have fixed length
+    anyway; the encoding is belt and braces.
+    """
+    return cipher.mac_chain(cbc_mac_encode(message, cipher.block_size))

@@ -34,8 +34,11 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
+from ..core.authenticator import (RequestAuthenticator,
+                                  SpeckCbcMacAuthenticator, SpeckTagLanes)
 from ..core.protocol import Session, build_session
 from ..core.resilience import CircuitBreaker, RetryPolicy
+from ..core.verifier import VerificationResult
 from ..crypto.hmac import pin_hmac_midstates
 from ..crypto.kdf import derive_device_key
 from ..crypto.rng import DeterministicRng
@@ -90,6 +93,17 @@ class MemberSweepOutcome:
     retries: int = 0
     energy_delta_mj: float = 0.0
     duration_seconds: float = 0.0
+
+
+@dataclass(frozen=True)
+class _MemberRound:
+    """What a member's sweep round records before its request goes out:
+    the simulated start time and the energy and rejection baselines."""
+
+    member: SwarmMember
+    start: float
+    energy_mj: float
+    rejected: int
 
 
 def fold_outcomes(outcomes: Iterable[MemberSweepOutcome]) -> SweepReport:
@@ -250,6 +264,8 @@ class Swarm:
         #: trace can be ordered sweep-major.  See ``trace_segments``.
         self._trace_marks: list[list[int]] = []
         self._retry_rng = DeterministicRng(seed).substream("sweep-jitter")
+        #: Lane-packed request-auth keys per side ("verifier", "prover").
+        self._tag_lanes: dict[str, SpeckTagLanes] = {}
         for index in indices:
             config = overrides.get(index, device_config)
             if config is None:
@@ -325,32 +341,30 @@ class Swarm:
                             device=member.device_id, previous=previous,
                             state=breaker.state)
 
-    def _sweep_member(self, member: SwarmMember, retry: RetryPolicy | None,
-                      stagger_seconds: float) -> MemberSweepOutcome:
-        """Attest one member; every input is derived from the member's
-        global identity so shards reproduce the sequential transcript."""
+    def _begin_member(self, member: SwarmMember,
+                      stagger_seconds: float) -> _MemberRound | None:
+        """Decide the breaker, run the stagger and take the baselines;
+        ``None`` when the breaker holds the member out of this sweep."""
         breaker = self.breakers[member.device_id]
         if not breaker.should_attempt(self.probe_every_sweeps):
-            return MemberSweepOutcome(member.device_id, "skipped")
+            return None
         session = member.session
         if stagger_seconds:
             session.sim.run(until=session.sim.now
                             + member.index * stagger_seconds)
-        before_energy = session.device.battery.consumed_mj
-        rejected_before = session.anchor.stats.rejected_total
-        start = session.sim.now
-        retries = 0
-        if retry is not None:
-            jitter_rng = self._retry_rng.substream(
-                f"{member.device_id}:{self.sweeps_run}")
-            outcome = session.attest_resilient(retry, rng=jitter_rng)
-            result = outcome.result
-            retries = outcome.retries
-        else:
-            result = session.attest_once()
-        duration = session.sim.now - start
+        return _MemberRound(member, session.sim.now,
+                            session.device.battery.consumed_mj,
+                            session.anchor.stats.rejected_total)
+
+    def _finish_member(self, begun: _MemberRound, result: VerificationResult,
+                       retries: int = 0) -> MemberSweepOutcome:
+        """Book one attempted member's verdict into its breaker and
+        outcome."""
+        member = begun.member
+        session = member.session
+        duration = session.sim.now - begun.start
         session.device.sync_energy()
-        energy = session.device.battery.consumed_mj - before_energy
+        energy = session.device.battery.consumed_mj - begun.energy_mj
         if result.trusted:
             self._record_breaker(member, True)
             category = "trusted"
@@ -360,7 +374,7 @@ class Swarm:
                 # Silence has two causes the transcript distinguishes:
                 # the prover rejecting the request (it saw it and said
                 # no) vs the channel never delivering anything.
-                if session.anchor.stats.rejected_total > rejected_before:
+                if session.anchor.stats.rejected_total > begun.rejected:
                     category = "refused"
                 else:
                     category = "no_response"
@@ -372,6 +386,82 @@ class Swarm:
                                   retries=retries, energy_delta_mj=energy,
                                   duration_seconds=duration)
 
+    def _sweep_member(self, member: SwarmMember, retry: RetryPolicy | None,
+                      stagger_seconds: float) -> MemberSweepOutcome:
+        """Attest one member on the scalar path; every input is derived
+        from the member's global identity so shards reproduce the
+        sequential transcript."""
+        begun = self._begin_member(member, stagger_seconds)
+        if begun is None:
+            return MemberSweepOutcome(member.device_id, "skipped")
+        session = member.session
+        if retry is None:
+            return self._finish_member(begun, session.attest_once())
+        jitter_rng = self._retry_rng.substream(
+            f"{member.device_id}:{self.sweeps_run}")
+        outcome = session.attest_resilient(retry, rng=jitter_rng)
+        return self._finish_member(begun, outcome.result, outcome.retries)
+
+    def _lane_sweep(self, stagger_seconds: float
+                    ) -> list[MemberSweepOutcome]:
+        """Attest every member, with every request MAC taken in one
+        lane-packed pass per side.
+
+        A pre-pass in member order does what each member's round does
+        before its request is tagged -- breaker, stagger, baselines,
+        epoch step, stamp and challenge -- and collects the untagged
+        requests.  One :class:`~repro.core.authenticator.SpeckTagLanes`
+        pass then memoises every verifier's tag and a second every
+        prover's expected tag over those exact bytes, each under its own
+        cipher.  Each member's round then runs as on the scalar path;
+        the memos only answer for byte-identical payloads, so anything
+        an adversary altered or injected is MAC'd and compared as usual.
+        Members live on separate simulations, so running every member's
+        first steps before any member's round changes no simulated
+        observable.
+        """
+        begun = [self._begin_member(member, stagger_seconds)
+                 for member in self.members]
+        prepared = [None if entry is None
+                    else entry.member.session.prepare_request()
+                    for entry in begun]
+        payloads = [None if request is None else request.signed_payload()
+                    for request in prepared]
+        if any(payload is not None for payload in payloads):
+            self._precompute_tags("verifier",
+                                  [member.session.verifier.authenticator
+                                   for member in self.members], payloads)
+            self._precompute_tags("prover",
+                                  [member.session.anchor.authenticator
+                                   for member in self.members], payloads)
+        outcomes = []
+        for member, entry, request in zip(self.members, begun, prepared):
+            if entry is None:
+                outcomes.append(MemberSweepOutcome(member.device_id,
+                                                   "skipped"))
+            else:
+                outcomes.append(self._finish_member(
+                    entry, member.session.attest_once(prepared=request)))
+        return outcomes
+
+    def _precompute_tags(self, side: str,
+                         authenticators: list[RequestAuthenticator],
+                         payloads: list[bytes | None]) -> None:
+        """One lane pass memoising ``side``'s tags of ``payloads``.
+
+        The packed keys are cached per side and repacked whenever a
+        member's cipher is not the one they were packed from (a rebuilt
+        session, a swapped authenticator).  A side holding any
+        non-Speck authenticator stays scalar.
+        """
+        if not all(isinstance(auth, SpeckCbcMacAuthenticator)
+                   for auth in authenticators):
+            return
+        lanes = self._tag_lanes.get(side)
+        if lanes is None or not lanes.serves(authenticators):
+            lanes = self._tag_lanes[side] = SpeckTagLanes(authenticators)
+        lanes.precompute(payloads)
+
     def sweep_outcomes(self, *, stagger_seconds: float = 0.0,
                        retry: RetryPolicy | None = None,
                        ) -> list[MemberSweepOutcome]:
@@ -380,13 +470,18 @@ class Swarm:
         This is :meth:`sweep` minus the fold: the sharded parallel
         engine calls it on each shard and folds the concatenation.
         Advances ``sweeps_run`` (which seeds the per-sweep retry-jitter
-        substreams).
+        substreams).  Without a retry policy the request MACs of the
+        whole sweep are lane-packed (:meth:`_lane_sweep`); with one,
+        each member runs the scalar path.
         """
         retry = retry if retry is not None else self.retry
         if self.incremental:
             self._pin_member_keys()
-        outcomes = [self._sweep_member(member, retry, stagger_seconds)
-                    for member in self.members]
+        if retry is None:
+            outcomes = self._lane_sweep(stagger_seconds)
+        else:
+            outcomes = [self._sweep_member(member, retry, stagger_seconds)
+                        for member in self.members]
         self.sweeps_run += 1
         if self.observe:
             self._trace_marks.append(

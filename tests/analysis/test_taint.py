@@ -107,6 +107,25 @@ class TestSeededFixture:
         assert all("leaky.py" in hop for hop in chained[0].chain)
 
 
+class TestSeededLaneKeys:
+    """Round keys packed for the lane-parallel Speck pass stay key
+    material: the seeded fixture prints them and must be KEY001."""
+
+    LEAK = REPO / "tests/analysis/fixtures/taint_lanes/src/repro/lanes_leak.py"
+    SPECK = REPO / "src/repro/crypto/speck.py"
+
+    def test_packed_round_key_to_print_is_key001(self):
+        program = Program.from_sources({
+            "src/repro/crypto/speck.py": self.SPECK.read_text(),
+            "src/repro/lanes_leak.py": self.LEAK.read_text()})
+        violations = analyze_program(program,
+                                     KeyConfidentialityClient()).violations
+        leaks = [v for v in violations
+                 if v.path == "src/repro/lanes_leak.py"
+                 and v.sink == "stdout"]
+        assert [v.rule for v in leaks] == ["KEY001"]
+
+
 class TestPolicy:
     def test_checked_in_policy_loads_with_reasons(self):
         policy = load_policy(REPO / "taint-policy.json")

@@ -16,6 +16,15 @@ def tiny_config(**overrides) -> DeviceConfig:
     return DeviceConfig(**defaults)
 
 
+def scalar_sweeps(swarm):
+    """Make ``swarm`` sweep member by member on the scalar path: the
+    reference a lane-packed sweep must equal."""
+    swarm._lane_sweep = lambda stagger_seconds: [
+        swarm._sweep_member(member, None, stagger_seconds)
+        for member in swarm.members]
+    return swarm
+
+
 @pytest.fixture
 def config() -> DeviceConfig:
     return tiny_config()

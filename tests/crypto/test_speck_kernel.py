@@ -7,17 +7,23 @@ block, and a byte-wise ``_xor_block`` CBC chain.  Every test runs the
 same key and message through :class:`Speck64_128` (``encrypt_block``,
 ``mac_chain``, :func:`cbc_mac`) and through the reference, including
 the ``blocks_encrypted`` counter the cost accounting reads.
+
+The lane-packed kernel (:class:`SpeckLanes`) is held to the same
+reference and to ``mac_chain`` lane by lane: one lane, hundreds of
+lanes, mixed message lengths (grouped, one pass per length) and
+skipped lanes.
 """
 
+import random
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.aes import AES128
-from repro.crypto.modes import cbc_mac
-from repro.crypto.speck import BLOCK_SIZE, ROUNDS, Speck64_128
-from repro.errors import InvalidBlockError
+from repro.crypto.modes import cbc_mac, cbc_mac_encode
+from repro.crypto.speck import BLOCK_SIZE, ROUNDS, Speck64_128, SpeckLanes
+from repro.errors import InvalidBlockError, InvalidKeyError
 
 # ePrint 2013/404, Speck 64/128 test vector.
 VEC_KEY = bytes.fromhex("1b1a1918131211100b0a090803020100")
@@ -161,3 +167,93 @@ def test_aes_cbc_mac_matches_reference_loop(key, message):
 def test_mac_chain_rejects_unaligned_input(cipher, length):
     with pytest.raises(InvalidBlockError):
         cipher.mac_chain(bytes(length))
+
+
+def _lane_bytes(seed, lanes, size):
+    """``lanes`` random byte strings of ``size`` from one drawn seed."""
+    rng = random.Random(seed)
+    return [rng.randbytes(size) for _ in range(lanes)]
+
+
+class TestSpeckLanes:
+    """Every lane of one SWAR pass equals its cipher's own chain."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), lanes=st.integers(1, 300),
+           blocks=st.integers(1, 20), data=st.data())
+    def test_equal_lengths_match_mac_chain_and_reference(
+            self, seed, lanes, blocks, data):
+        keys = _lane_bytes(seed, lanes, 16)
+        messages = _lane_bytes(seed + 1, lanes, 8 * blocks)
+        messages[0] = data.draw(st.binary(min_size=8 * blocks,
+                                          max_size=8 * blocks))
+        packed = [Speck64_128(key) for key in keys]
+        tags = SpeckLanes(packed).mac_chains(messages)
+        scalar = [Speck64_128(key) for key in keys]
+        assert tags == [cipher.mac_chain(message)
+                        for cipher, message in zip(scalar, messages)]
+        assert ([c.blocks_encrypted for c in packed]
+                == [c.blocks_encrypted for c in scalar] == [blocks] * lanes)
+        for lane in {0, lanes - 1}:
+            round_keys = ref_round_keys(keys[lane])
+            assert tags[lane] == ref_chain(
+                lambda b: ref_encrypt_block(round_keys, b), BLOCK_SIZE,
+                messages[lane])
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=keys, message=messages)
+    def test_single_lane_cbc_mac_matches_reference(self, key, message):
+        expected_tag, expected_blocks = ref_speck_cbc_mac(key, message)
+        cipher = Speck64_128(key)
+        lanes = SpeckLanes([cipher])
+        assert lanes.mac_chains([cbc_mac_encode(message, BLOCK_SIZE)]) == [
+            expected_tag]
+        assert cipher.blocks_encrypted == expected_blocks
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32),
+           lengths=st.lists(st.one_of(st.none(), st.integers(0, 20)),
+                            min_size=1, max_size=40),
+           data=st.data())
+    def test_mixed_lengths_are_grouped_and_none_skips(self, seed, lengths,
+                                                      data):
+        """Lanes of different lengths each get their own pass; a
+        ``None`` lane gets no tag and no block count."""
+        keys = _lane_bytes(seed, len(lengths), 16)
+        messages = [None if blocks is None else
+                    data.draw(st.binary(min_size=8 * blocks,
+                                        max_size=8 * blocks))
+                    for blocks in lengths]
+        packed = [Speck64_128(key) for key in keys]
+        lanes = SpeckLanes(packed)
+        # Twice through the same packed keys: the counters accumulate.
+        for _ in range(2):
+            tags = lanes.mac_chains(messages)
+        scalar = [Speck64_128(key) for key in keys]
+        expected = [None if message is None else cipher.mac_chain(message)
+                    for cipher, message in zip(scalar, messages)]
+        assert tags == expected
+        assert ([c.blocks_encrypted for c in packed]
+                == [2 * c.blocks_encrypted for c in scalar])
+
+    def test_unaligned_lane_is_rejected_before_any_pass(self):
+        ciphers = [Speck64_128(key) for key in _lane_bytes(1, 3, 16)]
+        lanes = SpeckLanes(ciphers)
+        with pytest.raises(InvalidBlockError, match="lane 2"):
+            lanes.mac_chains([bytes(16), bytes(8), bytes(12)])
+        assert [c.blocks_encrypted for c in ciphers] == [0, 0, 0]
+
+    def test_message_count_must_match_lane_count(self):
+        lanes = SpeckLanes([Speck64_128(VEC_KEY)])
+        with pytest.raises(InvalidBlockError, match="one message per lane"):
+            lanes.mac_chains([VEC_PT, VEC_PT])
+
+    def test_published_vector_in_every_lane(self):
+        lanes = SpeckLanes([Speck64_128(VEC_KEY) for _ in range(5)])
+        assert lanes.mac_chains([VEC_PT] * 5) == [VEC_CT] * 5
+
+    @pytest.mark.parametrize("ciphers", [[], [AES128(VEC_KEY)]],
+                             ids=["empty", "aes"])
+    def test_only_speck_ciphers_pack(self, ciphers):
+        with pytest.raises(InvalidKeyError):
+            SpeckLanes(ciphers)
