@@ -19,7 +19,8 @@ prover almost as much as attestation itself, so public-key schemes are
 ruled out for low-end provers.
 
 :class:`SpeckTagLanes` precomputes the Speck tags of many
-authenticators in one lane-packed pass (a fleet sweep); each
+authenticators in one lane-packed pass (a fleet sweep or an ``attestd``
+wave, through :class:`repro.core.protocol.RequestLanes`); each
 authenticator then answers its own next :meth:`tag` from that memo.
 Host time only: simulated cycles come from the cost model either way.
 
@@ -199,14 +200,15 @@ SpeckLanes`).  :meth:`precompute` MACs one payload per authenticator
         self._lanes = SpeckLanes([auth._cipher
                                   for auth in self._authenticators])
 
-    def serves(self, authenticators: Sequence[SpeckCbcMacAuthenticator]
-               ) -> bool:
-        """Whether this pass was packed from exactly these
-        authenticators' current ciphers, in this order."""
+    def serves(self, lanes: Sequence[int],
+               authenticators: Sequence[RequestAuthenticator]) -> bool:
+        """Whether lane ``lanes[k]`` was packed from
+        ``authenticators[k]`` and its current cipher, for every ``k``;
+        the other lanes are not visited."""
+        packed = self._authenticators
         ciphers = self._lanes.ciphers
-        return (len(authenticators) == len(ciphers)
-                and all(auth._cipher is cipher
-                        for auth, cipher in zip(authenticators, ciphers)))
+        return all(packed[lane] is auth and auth._cipher is ciphers[lane]
+                   for lane, auth in zip(lanes, authenticators))
 
     def precompute(self, payloads: Sequence[bytes | None]) -> None:
         """Memoise each authenticator's tag of its payload (``None``

@@ -15,7 +15,9 @@ delay the response by 754 simulated milliseconds.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..crypto.ecc import SECP160R1, generate_keypair
 from ..crypto.rng import DeterministicRng
@@ -26,6 +28,7 @@ from ..net.channel import ChannelAdversary, DolevYaoChannel
 from ..net.simulator import Simulation
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .authenticator import (EcdsaAuthenticator, RequestAuthenticator,
+                            SpeckCbcMacAuthenticator, SpeckTagLanes,
                             make_symmetric_authenticator)
 from .freshness import FreshnessPolicy, make_policy
 from .messages import AttestationRequest, AttestationResponse
@@ -33,7 +36,8 @@ from .prover import ProverTrustAnchor
 from .resilience import ResilientOutcome, RetryPolicy
 from .verifier import VerificationResult, Verifier
 
-__all__ = ["ProverNode", "VerifierNode", "Session", "build_session"]
+__all__ = ["ProverNode", "VerifierNode", "Session", "RequestLanes",
+           "build_session"]
 
 
 class ProverNode:
@@ -168,15 +172,18 @@ class Session:
 
         ``prepared`` is a request from :meth:`prepare_request` made at
         the current simulated time; without it the round prepares its
-        own.
+        own.  A round in which no result arrives is ``no-response``,
+        whatever an earlier round concluded.
         """
         if prepared is None:
             prepared = self.prepare_request()
+        results = self.verifier_node.results
+        baseline = len(results)
         self.verifier_node.request_attestation(prepared)
         self.sim.run(until=self.sim.now + settle_seconds)
-        if not self.verifier_node.results:
+        if len(results) == baseline:
             return VerificationResult(False, None, "no-response")
-        return self.verifier_node.results[-1]
+        return results[-1]
 
     def attest_resilient(self, retry: "RetryPolicy",
                          rng: DeterministicRng | None = None
@@ -214,9 +221,7 @@ class Session:
             baseline = len(node.results)
             result = self.attest_once(settle_seconds=timeout)
             if len(node.results) == baseline:
-                # Nothing arrived within this attempt's deadline --
-                # whatever attest_once returned is a stale verdict.
-                result = VerificationResult(False, None, "no-response")
+                # Nothing arrived within this attempt's deadline.
                 timeouts += 1
                 self.verifier.record_timeout()
                 self.telemetry.count("session.timeouts")
@@ -337,6 +342,61 @@ class Session:
             self.device.context("Code_Attest"))
         self.verifier.learn_reference(digest)
         return digest
+
+
+class RequestLanes:
+    """Lane-packed request authentication for a fixed list of sessions.
+
+    Lane ``i`` is ``sessions[i]``.  :meth:`prime` takes the verifier
+    tags of a batch of prepared requests in one
+    :class:`~repro.core.authenticator.SpeckTagLanes` pass, and the
+    provers' checks of the same bytes in a second, each under its own
+    cipher.  Each session's round (``attest_once(prepared=...)``) then
+    answers both MACs from the memos; anything an adversary altered or
+    injected misses them and is MAC'd on the scalar path.
+
+    Each side's keys are packed once, for every session, and repacked
+    only when a lane that carries a request no longer holds the
+    authenticator and cipher it was packed from.  A side with any
+    non-Speck authenticator stays scalar.
+    """
+
+    _SIDES = (attrgetter("verifier.authenticator"),
+              attrgetter("anchor.authenticator"))
+
+    def __init__(self, sessions: Sequence[Session]):
+        self._sessions = tuple(sessions)
+        self._packed: list[SpeckTagLanes | None] = [None] * len(self._SIDES)
+
+    def prime(self, requests: Mapping[int, AttestationRequest]) -> None:
+        """Memoise both sides' MACs of ``requests[i]`` (untagged, from
+        :meth:`Session.prepare_request`) for session ``i``; sessions
+        without a request are left alone."""
+        if not requests:
+            return
+        sessions = self._sessions
+        lanes = list(requests)
+        payloads: list[bytes | None] = [None] * len(sessions)
+        for lane, request in requests.items():
+            payloads[lane] = request.signed_payload()
+        for side, authenticator_of in enumerate(self._SIDES):
+            carried = [authenticator_of(sessions[lane]) for lane in lanes]
+            packed = self._packed[side]
+            if packed is None or not packed.serves(lanes, carried):
+                # The carried lanes first: a non-Speck service never
+                # walks the whole fleet.
+                if not _all_speck(carried):
+                    continue
+                every = [authenticator_of(session) for session in sessions]
+                if not _all_speck(every):
+                    continue
+                packed = self._packed[side] = SpeckTagLanes(every)
+            packed.precompute(payloads)
+
+
+def _all_speck(authenticators: list[RequestAuthenticator]) -> bool:
+    return all(isinstance(auth, SpeckCbcMacAuthenticator)
+               for auth in authenticators)
 
 
 def build_session(*, profile: ProtectionProfile = ROAM_HARDENED,

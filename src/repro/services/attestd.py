@@ -46,7 +46,8 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 
-from ..core.protocol import Session, build_session
+from ..core.messages import AttestationRequest
+from ..core.protocol import RequestLanes, Session, build_session
 from ..crypto.costmodel import CryptoCostModel
 from ..crypto.kdf import derive_device_key
 from ..crypto.rng import DeterministicRng
@@ -288,6 +289,8 @@ class AttestationService:
         #: registry so serviced and sequential telemetry stay
         #: byte-identical).
         self.peak_in_flight = 0
+        self._request_lanes = RequestLanes([member.session
+                                            for member in self.members])
 
     def member(self, device_id: str) -> ServiceMember:
         return self._members_by_id[device_id]
@@ -329,13 +332,15 @@ class AttestationService:
                              member.tenant, member.backend, False,
                              "rejected-admission", "duty-budget-exhausted")
 
-    def _attest_record(self, request: ServiceRequest,
-                       member: ServiceMember) -> RequestRecord:
+    def _attest_record(self, request: ServiceRequest, member: ServiceMember,
+                       prepared: AttestationRequest | None = None
+                       ) -> RequestRecord:
         """Run one admitted round and categorise the outcome (the same
-        cause-bucketing the swarm sweep uses)."""
+        cause-bucketing the swarm sweep uses).  ``prepared`` is the
+        round's request from :meth:`_prime_wave`, if it has one."""
         session = member.session
         rejected_before = session.anchor.stats.rejected_total
-        result = session.attest_once()
+        result = session.attest_once(prepared=prepared)
         if result.trusted:
             category = "trusted"
         elif result.detail == "no-response":
@@ -351,6 +356,26 @@ class AttestationService:
         return RequestRecord(request.request_id, member.device_id,
                              member.tenant, member.backend, True,
                              category, result.detail)
+
+    def _prime_wave(self, members: list[ServiceMember]
+                    ) -> list[AttestationRequest | None]:
+        """Prepare the rounds of one wave's admitted ``members`` and take
+        all their request MACs in one lane pass per side.
+
+        Only a member's first round in the wave is prepared here; a
+        member named again gets ``None`` and prepares that round itself,
+        after the first one, on the scalar path.
+        """
+        requests: dict[int, AttestationRequest] = {}
+        prepared: list[AttestationRequest | None] = []
+        for member in members:
+            request = None
+            if member.index not in requests:
+                request = member.session.prepare_request()
+                requests[member.index] = request
+            prepared.append(request)
+        self._request_lanes.prime(requests)
+        return prepared
 
     # -- sequential library path ----------------------------------------
 
@@ -379,11 +404,16 @@ class AttestationService:
         drain it.  Requests sharing an arrival instant form a *wave*:
         the whole wave is admitted (going in-flight together -- this is
         where concurrent-session counts come from) before the next
-        instant is considered.
+        instant is considered.  The admitted rounds are then prepared
+        and their request MACs taken in one lane-packed pass per side
+        (:meth:`_prime_wave`) before they are queued; :meth:`process`
+        stays the scalar reference.
 
         ``clock`` is an optional host-clock callable injected by the
-        benchmark to stamp per-request latency; the deterministic path
-        never passes one.
+        benchmark to stamp per-request latency: it is read once per
+        admitted request, in schedule order, at admission, and once when
+        the request's round completes.  The deterministic path never
+        passes one.
         """
         if workers < 1:
             raise ConfigurationError("serve needs at least one worker")
@@ -398,8 +428,8 @@ class AttestationService:
                 if item is None:
                     queue.task_done()
                     return
-                slot, request, member, started = item
-                record = self._attest_record(request, member)
+                slot, request, member, started, prepared = item
+                record = self._attest_record(request, member, prepared)
                 if started is not None:
                     record.host_latency_seconds = clock() - started
                 records[slot] = record
@@ -413,6 +443,7 @@ class AttestationService:
                 enumerate(requests),
                 key=lambda pair: pair[1].arrival_seconds)
             for _, wave in by_arrival:
+                admitted = []
                 for slot, request in wave:
                     member = self.admit(request)
                     if member is None:
@@ -421,8 +452,11 @@ class AttestationService:
                     started = clock() if clock is not None else None
                     in_flight += 1
                     self.peak_in_flight = max(self.peak_in_flight, in_flight)
-                    queues[member.backend].put_nowait(
-                        (slot, request, member, started))
+                    admitted.append((slot, request, member, started))
+                members = [member for _, _, member, _ in admitted]
+                for item, member, prepared in zip(
+                        admitted, members, self._prime_wave(members)):
+                    queues[member.backend].put_nowait((*item, prepared))
                 # The wave must land before the next arrival instant is
                 # admitted, or bucket refills would observe reordered
                 # virtual time.

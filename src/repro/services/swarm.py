@@ -34,9 +34,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
-from ..core.authenticator import (RequestAuthenticator,
-                                  SpeckCbcMacAuthenticator, SpeckTagLanes)
-from ..core.protocol import Session, build_session
+from ..core.protocol import RequestLanes, Session, build_session
 from ..core.resilience import CircuitBreaker, RetryPolicy
 from ..core.verifier import VerificationResult
 from ..crypto.hmac import pin_hmac_midstates
@@ -264,8 +262,6 @@ class Swarm:
         #: trace can be ordered sweep-major.  See ``trace_segments``.
         self._trace_marks: list[list[int]] = []
         self._retry_rng = DeterministicRng(seed).substream("sweep-jitter")
-        #: Lane-packed request-auth keys per side ("verifier", "prover").
-        self._tag_lanes: dict[str, SpeckTagLanes] = {}
         for index in indices:
             config = overrides.get(index, device_config)
             if config is None:
@@ -297,6 +293,8 @@ class Swarm:
                 degrade_after=degrade_after,
                 quarantine_after=quarantine_after)
         self.sweeps_run = 0
+        self._request_lanes = RequestLanes([member.session
+                                            for member in self.members])
         if incremental:
             self._pin_member_keys()
 
@@ -410,12 +408,9 @@ class Swarm:
         A pre-pass in member order does what each member's round does
         before its request is tagged -- breaker, stagger, baselines,
         epoch step, stamp and challenge -- and collects the untagged
-        requests.  One :class:`~repro.core.authenticator.SpeckTagLanes`
-        pass then memoises every verifier's tag and a second every
-        prover's expected tag over those exact bytes, each under its own
-        cipher.  Each member's round then runs as on the scalar path;
-        the memos only answer for byte-identical payloads, so anything
-        an adversary altered or injected is MAC'd and compared as usual.
+        requests.  :class:`~repro.core.protocol.RequestLanes` then
+        memoises every verifier's tag and every prover's check of those
+        exact bytes, and each member's round runs as on the scalar path.
         Members live on separate simulations, so running every member's
         first steps before any member's round changes no simulated
         observable.
@@ -425,15 +420,9 @@ class Swarm:
         prepared = [None if entry is None
                     else entry.member.session.prepare_request()
                     for entry in begun]
-        payloads = [None if request is None else request.signed_payload()
-                    for request in prepared]
-        if any(payload is not None for payload in payloads):
-            self._precompute_tags("verifier",
-                                  [member.session.verifier.authenticator
-                                   for member in self.members], payloads)
-            self._precompute_tags("prover",
-                                  [member.session.anchor.authenticator
-                                   for member in self.members], payloads)
+        self._request_lanes.prime({lane: request for lane, request
+                                   in enumerate(prepared)
+                                   if request is not None})
         outcomes = []
         for member, entry, request in zip(self.members, begun, prepared):
             if entry is None:
@@ -443,24 +432,6 @@ class Swarm:
                 outcomes.append(self._finish_member(
                     entry, member.session.attest_once(prepared=request)))
         return outcomes
-
-    def _precompute_tags(self, side: str,
-                         authenticators: list[RequestAuthenticator],
-                         payloads: list[bytes | None]) -> None:
-        """One lane pass memoising ``side``'s tags of ``payloads``.
-
-        The packed keys are cached per side and repacked whenever a
-        member's cipher is not the one they were packed from (a rebuilt
-        session, a swapped authenticator).  A side holding any
-        non-Speck authenticator stays scalar.
-        """
-        if not all(isinstance(auth, SpeckCbcMacAuthenticator)
-                   for auth in authenticators):
-            return
-        lanes = self._tag_lanes.get(side)
-        if lanes is None or not lanes.serves(authenticators):
-            lanes = self._tag_lanes[side] = SpeckTagLanes(authenticators)
-        lanes.precompute(payloads)
 
     def sweep_outcomes(self, *, stagger_seconds: float = 0.0,
                        retry: RetryPolicy | None = None,

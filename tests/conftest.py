@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import build_session
+from repro.core.messages import AttestationRequest
 from repro.mcu import Device, DeviceConfig, ROAM_HARDENED
+from repro.net.channel import Verdict
 
 
 def tiny_config(**overrides) -> DeviceConfig:
@@ -23,6 +25,23 @@ def scalar_sweeps(swarm):
         swarm._sweep_member(member, None, stagger_seconds)
         for member in swarm.members]
     return swarm
+
+
+class DropRequests:
+    """Channel adversary that drops the requests whose 1-based position
+    in the channel's request traffic is in ``drop``; everything else is
+    forwarded."""
+
+    def __init__(self, *drop: int):
+        self.drop = set(drop)
+        self.seen = 0
+
+    def on_message(self, message, sender, receiver, time):
+        if isinstance(message, AttestationRequest):
+            self.seen += 1
+            if self.seen in self.drop:
+                return Verdict("drop")
+        return Verdict("forward")
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from repro.crypto.rng import DeterministicRng
 from repro.crypto.speck import Speck64_128
 from repro.errors import ConfigurationError
 from repro.net.channel import Verdict
+from repro.services.attestd import AttestationService, build_schedule
 from repro.services.swarm import Swarm
 from tests.conftest import scalar_sweeps, tiny_config
 
@@ -148,10 +149,21 @@ def _tampered_swarm(mode: str, *, scalar: bool) -> Swarm:
     return scalar_sweeps(swarm) if scalar else swarm
 
 
-def _prover_view(swarm: Swarm) -> list:
+def _tampered_service(mode: str) -> AttestationService:
+    service = AttestationService(3, tenants=1, backends=2,
+                                 device_config=tiny_config(),
+                                 seed="lane-tamper")
+    for member in service.members:
+        channel = member.session.channel
+        channel.adversary = LaneTamper(mode)
+        channel.adversary.channel = channel
+    return service
+
+
+def _prover_view(fleet: Swarm | AttestationService) -> list:
     return [(dataclasses.asdict(member.session.anchor.stats),
              member.session.device.cpu.cycle_count)
-            for member in swarm.members]
+            for member in fleet.members]
 
 
 class TestSpeckTamperThroughLanes:
@@ -169,6 +181,23 @@ class TestSpeckTamperThroughLanes:
             assert lane.sweep() == scalar.sweep()
         assert _prover_view(lane) == _prover_view(scalar)
         assert lane.merged_trace_records() == scalar.merged_trace_records()
+        for member in lane.members:
+            assert member.session.anchor.stats.rejected == {reason: 3}
+
+    @pytest.mark.parametrize("mode, reason, verdict", [
+        ("payload", "bad-auth", "refused"), ("tag", "bad-auth", "trusted"),
+        ("forge", "bad-auth", "trusted"),
+        ("replay", "stale-counter", "trusted")])
+    def test_attestd_rejections_match_the_scalar_path(self, mode, reason,
+                                                       verdict):
+        """Lane-packed ``serve`` waves against the scalar ``process``."""
+        schedule = build_schedule(3, waves=3, spacing_seconds=20.0)
+        lane, scalar = _tampered_service(mode), _tampered_service(mode)
+        served = [r.fingerprint() for r in lane.serve_schedule(schedule)]
+        assert served == [r.fingerprint() for r in scalar.process(schedule)]
+        assert {record[4] for record in served} == {verdict}
+        assert _prover_view(lane) == _prover_view(scalar)
+        assert lane.freshness_fingerprint() == scalar.freshness_fingerprint()
         for member in lane.members:
             assert member.session.anchor.stats.rejected == {reason: 3}
 

@@ -19,11 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.authenticator import SpeckCbcMacAuthenticator
+from repro.crypto.speck import Speck64_128
 from repro.errors import ConfigurationError, SnapshotError
 from repro.services.attestd import (AttestationService, HashRing,
                                     ServiceRequest, TokenBucket,
                                     build_schedule,
                                     build_service_from_spec, service_spec)
+from tests.conftest import DropRequests, tiny_config
 
 
 def view(service):
@@ -265,3 +268,111 @@ class TestRestoreContinue:
         service = build_service_from_spec(spec)
         assert len(service) == 5
         assert set(service.buckets) == {"tenant-00", "tenant-01"}
+
+
+def count_scalar_chains(monkeypatch) -> list:
+    """Record every scalar ``Speck64_128.mac_chain`` call from now on."""
+    calls = []
+    original = Speck64_128.mac_chain
+    monkeypatch.setattr(Speck64_128, "mac_chain",
+                        lambda self, encoded: calls.append(1)
+                        or original(self, encoded))
+    return calls
+
+
+def small_service(size=6, **overrides):
+    options = dict(tenants=2, backends=3, device_config=tiny_config(),
+                   seed="lane-waves")
+    options.update(overrides)
+    return AttestationService(size, **options)
+
+
+class TestLaneWaves:
+    """``serve`` takes each wave's request MACs in one lane pass per
+    side; ``process`` stays scalar.  Both must agree on every record,
+    every freshness counter and every telemetry line."""
+
+    def assert_equal(self, schedule, **overrides) -> list:
+        """Serve and process ``schedule`` on twin services; returns the
+        served record fingerprints."""
+        served, processed = (small_service(**overrides),
+                             small_service(**overrides))
+        got = [r.fingerprint() for r in served.serve_schedule(schedule)]
+        assert got == [r.fingerprint() for r in processed.process(schedule)]
+        assert view(served) == view(processed)
+        return got
+
+    def test_honest_waves_run_no_scalar_chain(self, monkeypatch):
+        schedule = build_schedule(6, waves=3, spacing_seconds=20.0)
+        service = small_service()
+        calls = count_scalar_chains(monkeypatch)
+        records = service.serve_schedule(schedule)
+        assert all(r.verdict == "trusted" for r in records)
+        assert not calls
+
+    def test_device_named_twice_in_a_wave(self, monkeypatch):
+        """The second round of a device within one wave is prepared
+        after its first, on the scalar path: one tag and one check."""
+        schedule = [ServiceRequest(1.0, 0, 0), ServiceRequest(1.0, 1, 1),
+                    ServiceRequest(1.0, 0, 2), ServiceRequest(2.0, 0, 3),
+                    ServiceRequest(2.0, 0, 4), ServiceRequest(2.0, 0, 5)]
+        records = self.assert_equal(schedule, policy_name="timestamp")
+        assert [r[4] for r in records] == ["trusted"] * 6
+        calls = count_scalar_chains(monkeypatch)
+        small_service(policy_name="timestamp").serve_schedule(schedule)
+        assert len(calls) == 2 * 3
+
+    def test_hmac_service_stays_scalar(self):
+        self.assert_equal(build_schedule(6, waves=2, spacing_seconds=20.0),
+                          auth_scheme="hmac-sha1")
+
+    def test_restore_mid_schedule(self, monkeypatch):
+        """A service restored mid-schedule packs its own keys on the
+        first wave it serves and continues as the uninterrupted scalar
+        reference does."""
+        schedule = build_schedule(6, waves=4, spacing_seconds=20.0)
+        head, tail = schedule[:12], schedule[12:]
+        donor = small_service()
+        donor.serve_schedule(head)
+        document = json.loads(json.dumps(donor.snapshot()))
+        reference = small_service()
+        expected = [r.fingerprint() for r in reference.process(schedule)]
+        resumed = small_service()
+        resumed.restore(document)
+        calls = count_scalar_chains(monkeypatch)
+        got = [r.fingerprint() for r in resumed.serve_schedule(tail)]
+        assert got == expected[len(head):]
+        assert view(resumed) == view(reference)
+        assert not calls
+
+    def test_swapped_authenticator_is_repacked(self, monkeypatch):
+        """A prover whose authenticator changed between waves gets its
+        lane repacked: its own memo rejects the verifier's tag, with no
+        scalar MAC run."""
+        service = small_service(size=3, tenants=1)
+        service.serve_schedule([ServiceRequest(1.0, i, i) for i in range(3)])
+        service.members[1].session.anchor.authenticator = \
+            SpeckCbcMacAuthenticator(b"z" * 16)
+        calls = count_scalar_chains(monkeypatch)
+        records = service.serve_schedule(
+            [ServiceRequest(2.0, i, 3 + i) for i in range(3)])
+        assert [r.verdict for r in records] == ["trusted", "refused",
+                                                "trusted"]
+        assert not calls
+
+
+class TestNoStaleVerdict:
+    @pytest.mark.parametrize("path", ["serve", "process"])
+    def test_dropped_request_after_a_trusted_round(self, path):
+        service = AttestationService(1, tenants=1, backends=1,
+                                     device_config=tiny_config(),
+                                     seed="stale")
+        session = service.members[0].session
+        session.channel.adversary = DropRequests(2)
+        schedule = [ServiceRequest(float(wave), 0, wave)
+                    for wave in range(3)]
+        run = (service.serve_schedule if path == "serve"
+               else service.process)
+        assert [r.verdict for r in run(schedule)] == [
+            "trusted", "no_response", "trusted"]
+        assert session.anchor.stats.received == 2

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.services.swarm import Swarm
-from tests.conftest import tiny_config
+from tests.conftest import DropRequests, scalar_sweeps, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +71,31 @@ class TestSweep:
         t0 = fleet.members[0].session.sim.now
         t1 = fleet.members[1].session.sim.now
         assert t1 > t0
+
+
+class TestNoStaleVerdict:
+    """A round in which nothing arrives is booked as this round's
+    silence, never as the previous round's verdict."""
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_dropped_request_after_a_trusted_round(self, scalar):
+        fleet = Swarm(1, device_config=tiny_config(), seed="stale",
+                      adversary_factory=lambda index, device_id:
+                      DropRequests(2))
+        if scalar:
+            scalar_sweeps(fleet)
+        assert fleet.sweep().trusted == 1
+        report = fleet.sweep()
+        assert fleet.members[0].session.anchor.stats.received == 1
+        assert (report.trusted, report.no_response) == (0, ["device-000"])
+        assert fleet.sweep().trusted == 1
+
+    def test_refused_request_after_a_trusted_round(self):
+        fleet = Swarm(1, device_config=tiny_config(), seed="stale-refused")
+        assert fleet.sweep().trusted == 1
+        verifier = fleet.members[0].session.verifier
+        verifier.freshness_state.next_counter -= 1
+        report = fleet.sweep()
+        assert (report.trusted, report.refused) == (0, ["device-000"])
+        assert fleet.members[0].session.anchor.stats.rejected == {
+            "stale-counter": 1}
