@@ -64,10 +64,10 @@ _HOST_CLOCK_CALLS = {
     ("time", "time_ns"), ("time", "process_time"),
     ("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"),
     ("date", "today"),
-    # Async host time: the service tier runs on asyncio, where
-    # ``asyncio.sleep`` and ``loop.time()`` smuggle the host clock in
-    # just as surely as ``time.monotonic`` -- attestd's injected
-    # ``clock`` callable is the only sanctioned async time boundary.
+    # Async host time: ``asyncio.sleep`` and ``loop.time()`` smuggle
+    # the host clock in just as surely as ``time.monotonic``, should
+    # any layer take up an event loop -- attestd's injected ``clock``
+    # callable is the only sanctioned service time boundary.
     ("asyncio", "sleep"), ("loop", "time"),
 }
 

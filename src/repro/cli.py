@@ -825,7 +825,7 @@ def _cmd_serve(args) -> int:
                               spacing_seconds=args.spacing,
                               start_seconds=start,
                               seed=f"{spec['seed']}:schedule")
-    records = service.serve_schedule(schedule, workers=args.workers)
+    records = service.serve_schedule(schedule)
     verdicts: dict = {}
     for record in records:
         verdicts[record.verdict] = verdicts.get(record.verdict, 0) + 1
@@ -1092,8 +1092,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="request waves; each wave arrives at one instant")
     p.add_argument("--spacing", type=float, default=60.0,
                    help="virtual seconds between waves")
-    p.add_argument("--workers", type=int, default=1,
-                   help="async workers per backend")
     p.add_argument("--seed", default="attestd")
     p.add_argument("--snapshot", default=None, metavar="FILE",
                    help="checkpoint the service after serving")

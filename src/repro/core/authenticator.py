@@ -32,7 +32,7 @@ the prover -- holds only the public point).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from ..crypto.aes import AES128
 from ..crypto.costmodel import CryptoCostModel
@@ -210,17 +210,16 @@ SpeckLanes`).  :meth:`precompute` MACs one payload per authenticator
         return all(packed[lane] is auth and auth._cipher is ciphers[lane]
                    for lane, auth in zip(lanes, authenticators))
 
-    def precompute(self, payloads: Sequence[bytes | None]) -> None:
-        """Memoise each authenticator's tag of its payload (``None``
-        leaves that authenticator alone)."""
+    def precompute(self, payloads: Mapping[int, bytes]) -> None:
+        """Memoise authenticator ``lane``'s tag of ``payloads[lane]`` for
+        every lane ``payloads`` carries; the others are left alone."""
         tags = self._lanes.mac_chains(
-            [None if payload is None else cbc_mac_encode(payload, BLOCK_SIZE)
-             for payload in payloads])
+            {lane: cbc_mac_encode(payload, BLOCK_SIZE)
+             for lane, payload in payloads.items()})
         # Indexed, not zipped with the authenticators: only the tag and
         # the public payload enter the memo.
-        for index, tag in enumerate(tags):
-            if tag is not None:
-                self._authenticators[index]._memo = (payloads[index], tag)
+        for lane, tag in tags.items():
+            self._authenticators[lane]._memo = (payloads[lane], tag)
 
 
 _SYMMETRIC_SCHEMES = {

@@ -347,8 +347,8 @@ class Session:
 class RequestLanes:
     """Lane-packed request authentication for a fixed list of sessions.
 
-    Lane ``i`` is ``sessions[i]``.  :meth:`prime` takes the verifier
-    tags of a batch of prepared requests in one
+    Lane ``i`` is ``sessions[i]``.  :meth:`prepare` prepares a batch of
+    rounds, takes the verifier tags of their requests in one
     :class:`~repro.core.authenticator.SpeckTagLanes` pass, and the
     provers' checks of the same bytes in a second, each under its own
     cipher.  Each session's round (``attest_once(prepared=...)``) then
@@ -368,17 +368,33 @@ class RequestLanes:
         self._sessions = tuple(sessions)
         self._packed: list[SpeckTagLanes | None] = [None] * len(self._SIDES)
 
-    def prime(self, requests: Mapping[int, AttestationRequest]) -> None:
-        """Memoise both sides' MACs of ``requests[i]`` (untagged, from
-        :meth:`Session.prepare_request`) for session ``i``; sessions
-        without a request are left alone."""
-        if not requests:
-            return
+    def prepare(self, lanes: Sequence[int | None]
+                ) -> list[AttestationRequest | None]:
+        """Prepare the next round of session ``lanes[k]`` for every
+        ``k``, in order (:meth:`Session.prepare_request`), and memoise
+        both sides' MACs of those requests.
+
+        Entry ``k`` of the result is the request for
+        ``attest_once(prepared=...)``.  A ``None`` lane, or a lane named
+        earlier in ``lanes``, gets ``None``: that round prepares itself
+        when it runs, on the scalar path, after the earlier one.
+        """
+        requests: dict[int, AttestationRequest] = {}
+        prepared: list[AttestationRequest | None] = []
+        for lane in lanes:
+            request = None
+            if lane is not None and lane not in requests:
+                request = self._sessions[lane].prepare_request()
+                requests[lane] = request
+            prepared.append(request)
+        if requests:
+            self._prime({lane: request.signed_payload()
+                         for lane, request in requests.items()})
+        return prepared
+
+    def _prime(self, payloads: Mapping[int, bytes]) -> None:
         sessions = self._sessions
-        lanes = list(requests)
-        payloads: list[bytes | None] = [None] * len(sessions)
-        for lane, request in requests.items():
-            payloads[lane] = request.signed_payload()
+        lanes = list(payloads)
         for side, authenticator_of in enumerate(self._SIDES):
             carried = [authenticator_of(sessions[lane]) for lane in lanes]
             packed = self._packed[side]

@@ -23,7 +23,7 @@ ciphertext 8c6fa548 454e028b).
 from __future__ import annotations
 
 import struct
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 
 from ..errors import InvalidBlockError, InvalidKeyError
@@ -285,9 +285,9 @@ class SpeckLanes:
 
     The 27 round keys of every cipher are packed once, at construction:
     round key ``r`` of all lanes is one int, each lane XORing in its own
-    key.  :meth:`mac_chains` then chains one equal-length message per
-    lane through all lanes together, and returns tags byte-identical to
-    each cipher's own :meth:`Speck64_128.mac_chain`.
+    key.  :meth:`mac_chains` then chains one message per carried lane,
+    the lanes of each message length together, and returns tags
+    byte-identical to each cipher's own :meth:`Speck64_128.mac_chain`.
 
     The packed round keys are key material, like the ciphers' own.
     """
@@ -307,37 +307,36 @@ class SpeckLanes:
         self._layout = _lane_layout(len(self.ciphers))
         self._round_keys = self._layout.pack_columns(self._key_rows, ROUNDS)
 
-    def mac_chains(self, encodeds: Sequence[bytes | None]
-                   ) -> list[bytes | None]:
-        """``ciphers[i].mac_chain(encodeds[i])`` for every lane ``i``.
+    def mac_chains(self, encodeds: Mapping[int, bytes]) -> dict[int, bytes]:
+        """``{lane: ciphers[lane].mac_chain(encodeds[lane])}`` for every
+        lane ``encodeds`` carries.
 
-        ``None`` skips a lane: its tag is ``None`` and its cipher's
-        ``blocks_encrypted`` does not move.  Every other lane's counter
+        A lane not carried gets no tag and its cipher's
+        ``blocks_encrypted`` does not move; every carried lane's counter
         moves by its block count, exactly as :meth:`Speck64_128.\
 mac_chain` moves it.  Messages of different lengths are grouped by
         length, one pass per group; a group short of the full lane set
         packs its round keys for that call.  Raises
-        :class:`InvalidBlockError`, before any lane is touched, when
-        the message count differs from the lane count or a message is
-        not block-aligned.
+        :class:`InvalidBlockError`, before any lane is touched, when a
+        lane index is out of range or a message is not block-aligned.
         """
-        if len(encodeds) != len(self.ciphers):
-            raise InvalidBlockError(
-                f"SpeckLanes needs one message per lane: got "
-                f"{len(encodeds)} for {len(self.ciphers)} lanes")
+        count = len(self.ciphers)
         groups: dict[int, list[int]] = {}
-        for lane, encoded in enumerate(encodeds):
-            if encoded is None:
-                continue
+        for lane, encoded in encodeds.items():
+            if type(lane) is not int or not 0 <= lane < count:
+                raise InvalidBlockError(
+                    f"SpeckLanes has lanes 0..{count - 1}, got lane {lane!r}")
             if len(encoded) % BLOCK_SIZE:
                 raise InvalidBlockError(
                     f"Speck chain input must be a multiple of {BLOCK_SIZE} "
                     f"bytes (lane {lane} has {len(encoded)})")
             groups.setdefault(len(encoded), []).append(lane)
-        tags: list[bytes | None] = [None] * len(encodeds)
+        tags: dict[int, bytes] = {}
         row = 4 * ROUNDS
         for length, lanes in groups.items():
-            if len(lanes) == len(self.ciphers):
+            if len(lanes) == count:
+                # Every lane, so the keys packed in lane order serve.
+                lanes = range(count)
                 layout, round_keys = self._layout, self._round_keys
             else:
                 layout = _lane_layout(len(lanes))

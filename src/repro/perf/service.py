@@ -17,9 +17,9 @@ The report (``BENCH_service.json``) carries:
   p50/p99 request latency;
 * ``gates`` -- the scale gate: at least one point must hold >= 1000
   sessions in flight at once;
-* ``equivalence`` -- the serviced run at ``workers=1`` must produce
-  request records, per-device freshness state and merged telemetry
-  byte-identical to the sequential library path
+* ``equivalence`` -- the served run must produce request records,
+  per-device freshness state, merged telemetry and shared state-cache
+  stats byte-identical to the sequential library path
   (:meth:`~repro.services.attestd.AttestationService.process`).
 """
 
@@ -69,7 +69,7 @@ def _build_service(*, size: int, tenants: int, backends: int,
 def run_load_point(*, size: int, tenants: int = 4, backends: int = 4,
                    duty_fraction: float = 0.01,
                    burst_seconds: float = 600.0, waves: int = 1,
-                   spacing_seconds: float = 60.0, workers: int = 1,
+                   spacing_seconds: float = 60.0,
                    seed: str = "service-bench") -> dict:
     """Serve one deterministic schedule on a freshly built service per
     run and measure it.
@@ -91,8 +91,7 @@ def run_load_point(*, size: int, tenants: int = 4, backends: int = 4,
                                  burst_seconds=burst_seconds,
                                  observe=False, seed=seed)
         with lap("serve"):
-            records = service.serve_schedule(schedule, workers=workers,
-                                             clock=bench.clock)
+            records = service.serve_schedule(schedule, clock=bench.clock)
         latencies = [record.host_latency_seconds for record in records
                      if record.admitted
                      and record.host_latency_seconds is not None]
@@ -114,22 +113,21 @@ def run_load_point(*, size: int, tenants: int = 4, backends: int = 4,
         "p50_latency_ms": statistics.median(r["p50"] for r in timed) * 1e3,
         "p99_latency_ms": statistics.median(r["p99"] for r in timed) * 1e3,
         "waves": waves,
-        "workers": workers,
     }
 
 
 def equivalence_check(*, size: int = 24, tenants: int = 3,
                       backends: int = 4, duty_fraction: float = 0.001,
                       burst_seconds: float = 20.0, waves: int = 3,
-                      spacing_seconds: float = 30.0, workers: int = 1,
+                      spacing_seconds: float = 30.0,
                       seed: str = "service-equivalence") -> dict:
-    """Prove the serviced path equals the sequential library path.
+    """Prove the served path equals the sequential library path.
 
-    Runs the same schedule through :meth:`AttestationService.serve`
-    (``workers=1``) and :meth:`AttestationService.process` on two
-    identically-built services, with a duty budget tight enough that
-    both admission outcomes occur, and compares request records,
-    per-device freshness state and the merged telemetry dump.
+    Runs the same schedule through ``serve_schedule`` and ``process``
+    on two identically-built services, with a duty budget tight enough
+    that both admission outcomes occur, and compares request records,
+    per-device freshness state, the merged telemetry dump and the
+    shared state cache's stats.
     """
     schedule = build_schedule(size, waves=waves,
                               spacing_seconds=spacing_seconds,
@@ -139,7 +137,7 @@ def equivalence_check(*, size: int = 24, tenants: int = 3,
                   burst_seconds=burst_seconds, observe=True, seed=seed)
     serviced = _build_service(**kwargs)
     sequential = _build_service(**kwargs)
-    served = serviced.serve_schedule(schedule, workers=workers)
+    served = serviced.serve_schedule(schedule)
     processed = sequential.process(schedule)
     mismatched = []
     if ([r.fingerprint() for r in served]
@@ -152,9 +150,10 @@ def equivalence_check(*, size: int = 24, tenants: int = 3,
             != json.dumps(sequential.merged_registry().dump(),
                           sort_keys=True)):
         mismatched.append("telemetry")
+    if serviced.state_cache.stats() != sequential.state_cache.stats():
+        mismatched.append("state_cache")
     return {
         "size": size,
-        "workers": workers,
         "offered": len(schedule),
         "admitted": serviced.admitted,
         "rejected": serviced.rejected,

@@ -1,4 +1,4 @@
-"""``attestd``: an async multi-tenant verifier service (future work 1).
+"""``attestd``: a multi-tenant verifier service (future work 1).
 
 The paper's Section 3.1 asymmetry argument cuts both ways: an
 attestation round steals hundreds of prover-milliseconds, so a verifier
@@ -24,13 +24,14 @@ sessions behind one front door:
   therefore verdicts derive from the global device index alone (the
   PR 5 shard-identity discipline), so re-sharding a deployment can
   never change what any device answers.
-* **Async front door** -- :meth:`AttestationService.serve` multiplexes
-  admitted requests across per-backend asyncio workers.  The event loop
-  is a dispatch veneer: all simulated time lives in each session's
-  discrete-event simulator, and the only awaits are queue handoffs, so
-  the serviced run is equivalent to the sequential library path
+* **Waves** -- :meth:`AttestationService.serve_schedule` serves the
+  requests that share an arrival instant as one wave: it admits them,
+  prepares the admitted rounds and takes their request MACs in one
+  lane-packed pass per side, then runs the rounds in schedule order.
+  All simulated time lives in each session's discrete-event simulator,
+  so the served run is equivalent to the sequential library path
   (:meth:`AttestationService.process`) -- the benchmark gates on the
-  two being byte-identical at ``workers=1``.
+  two being byte-identical.
 * **Crash recovery** -- :meth:`AttestationService.snapshot` captures
   the whole service (member sessions, bucket levels, virtual clock,
   admission counters) as one ``repro.snapshot/v1`` document of kind
@@ -40,10 +41,10 @@ sessions behind one front door:
 
 from __future__ import annotations
 
-import asyncio
 import bisect
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from ..core.messages import AttestationRequest
@@ -57,6 +58,7 @@ from ..mcu.profiles import ProtectionProfile, ROAM_HARDENED
 from ..mcu.statecache import StateDigestCache
 from ..obs.registry import MetricsRegistry
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
+from .swarm import verdict_category
 
 __all__ = ["TokenBucket", "HashRing", "ServiceRequest", "RequestRecord",
            "ServiceMember", "AttestationService", "build_schedule",
@@ -83,13 +85,17 @@ class TokenBucket:
     updated: float = 0.0
 
     def __post_init__(self):
-        if self.rate <= 0 or self.burst <= 0:
-            raise ConfigurationError("token bucket rate and burst must be "
-                                     "positive")
+        if not (0 < self.rate < math.inf and 0 < self.burst < math.inf):
+            raise ConfigurationError(
+                f"token bucket rate and burst must be positive and finite "
+                f"(rate={self.rate}, burst={self.burst})")
         if self.tokens is None:
             self.tokens = self.burst
 
     def refill(self, now: float) -> None:
+        if not math.isfinite(now):
+            raise ConfigurationError(
+                f"token bucket time must be finite, got {now}")
         if now < self.updated:
             raise ConfigurationError(
                 f"token bucket time went backwards ({now} < {self.updated})")
@@ -210,7 +216,7 @@ class AttestationService:
     tenants; each tenant gets a :class:`TokenBucket` whose refill rate
     is ``duty_fraction`` prover-seconds per second per device.  Devices
     are placed onto ``backends`` shards by consistent hashing; the shard
-    only determines which asyncio worker runs the session.
+    is recorded on each request's record and never changes an answer.
     """
 
     def __init__(self, size: int, *, tenants: int = 4, backends: int = 4,
@@ -230,8 +236,9 @@ class AttestationService:
             raise ConfigurationError("service needs at least one backend")
         if not 0.0 < duty_fraction <= 1.0:
             raise ConfigurationError("duty_fraction must be in (0, 1]")
-        if burst_seconds <= 0:
-            raise ConfigurationError("burst_seconds must be positive")
+        if not 0.0 < burst_seconds < math.inf:
+            raise ConfigurationError(
+                "burst_seconds must be positive and finite")
         config = device_config
         if config is None:
             config = DeviceConfig(ram_size=16 * 1024, flash_size=32 * 1024,
@@ -284,9 +291,9 @@ class AttestationService:
         self.virtual_now = 0.0
         self.admitted = 0
         self.rejected = 0
-        #: Most admitted-but-unfinished sessions observed at once (a
-        #: host-side observation, deliberately kept out of the metrics
-        #: registry so serviced and sequential telemetry stay
+        #: Most requests admitted in one wave, all in flight together (a
+        #: serving-side observation, deliberately kept out of the metrics
+        #: registry so served and sequential telemetry stay
         #: byte-identical).
         self.peak_in_flight = 0
         self._request_lanes = RequestLanes([member.session
@@ -306,14 +313,9 @@ class AttestationService:
         Reject-before-measure: a rejected request charges nothing and
         touches no session state, so over-budget tenants cannot spend
         prover cycles (the Section 3.1 defence, moved verifier-side).
+        A request :meth:`_check` refuses raises before anything moves.
         """
-        if not 0 <= request.device_index < len(self.members):
-            raise ConfigurationError(
-                f"request {request.request_id} targets unknown device "
-                f"index {request.device_index}")
-        if request.arrival_seconds < self.virtual_now:
-            raise ConfigurationError(
-                "request schedule must be non-decreasing in arrival time")
+        self._check(request, self.virtual_now)
         self.virtual_now = request.arrival_seconds
         member = self.members[request.device_index]
         bucket = self.buckets[member.tenant]
@@ -326,6 +328,34 @@ class AttestationService:
         self.telemetry.count("service.rejected", tenant=member.tenant)
         return None
 
+    def _check(self, request: ServiceRequest, now: float) -> None:
+        """Raise :class:`ConfigurationError`, naming the request and the
+        field, unless ``request`` targets a device of this service and
+        arrives at a finite time no earlier than ``now``."""
+        index = request.device_index
+        if type(index) is not int or not 0 <= index < len(self.members):
+            raise ConfigurationError(
+                f"request {request.request_id}: device_index {index!r} is "
+                f"not in 0..{len(self.members) - 1}")
+        arrival = request.arrival_seconds
+        if type(arrival) not in (int, float) or not math.isfinite(arrival):
+            raise ConfigurationError(
+                f"request {request.request_id}: arrival_seconds {arrival!r} "
+                f"is not a finite number")
+        if arrival < now:
+            raise ConfigurationError(
+                f"request {request.request_id}: arrival_seconds {arrival} "
+                f"is before {now}; a schedule must be non-decreasing in "
+                f"arrival time")
+
+    def _check_schedule(self, requests: list[ServiceRequest]) -> None:
+        """:meth:`_check` every request before any is admitted, so a bad
+        schedule leaves no partial state."""
+        now = self.virtual_now
+        for request in requests:
+            self._check(request, now)
+            now = request.arrival_seconds
+
     def _rejected_record(self, request: ServiceRequest) -> RequestRecord:
         member = self.members[request.device_index]
         return RequestRecord(request.request_id, member.device_id,
@@ -337,52 +367,25 @@ class AttestationService:
                        ) -> RequestRecord:
         """Run one admitted round and categorise the outcome (the same
         cause-bucketing the swarm sweep uses).  ``prepared`` is the
-        round's request from :meth:`_prime_wave`, if it has one."""
+        round's lane-primed request, if it has one."""
         session = member.session
         rejected_before = session.anchor.stats.rejected_total
         result = session.attest_once(prepared=prepared)
-        if result.trusted:
-            category = "trusted"
-        elif result.detail == "no-response":
-            if session.anchor.stats.rejected_total > rejected_before:
-                category = "refused"
-            else:
-                category = "no_response"
-        elif not result.authentic:
-            category = "refused"
-        else:
-            category = "untrusted"
+        category = verdict_category(
+            result, session.anchor.stats.rejected_total > rejected_before)
         self.telemetry.count("service.rounds", verdict=category)
         return RequestRecord(request.request_id, member.device_id,
                              member.tenant, member.backend, True,
                              category, result.detail)
 
-    def _prime_wave(self, members: list[ServiceMember]
-                    ) -> list[AttestationRequest | None]:
-        """Prepare the rounds of one wave's admitted ``members`` and take
-        all their request MACs in one lane pass per side.
-
-        Only a member's first round in the wave is prepared here; a
-        member named again gets ``None`` and prepares that round itself,
-        after the first one, on the scalar path.
-        """
-        requests: dict[int, AttestationRequest] = {}
-        prepared: list[AttestationRequest | None] = []
-        for member in members:
-            request = None
-            if member.index not in requests:
-                request = member.session.prepare_request()
-                requests[member.index] = request
-            prepared.append(request)
-        self._request_lanes.prime(requests)
-        return prepared
-
     # -- sequential library path ----------------------------------------
 
     def process(self, requests: list[ServiceRequest]) -> list[RequestRecord]:
         """The sequential reference path: admit and (when admitted)
-        attest each request in schedule order.  :meth:`serve` is gated
-        on being byte-identical to this."""
+        attest each request in schedule order, every MAC on the scalar
+        path.  :meth:`serve_schedule` is gated on being byte-identical
+        to this."""
+        self._check_schedule(requests)
         records = []
         for request in requests:
             member = self.admit(request)
@@ -392,88 +395,51 @@ class AttestationService:
                 records.append(self._attest_record(request, member))
         return records
 
-    # -- async front door ------------------------------------------------
+    # -- waves -----------------------------------------------------------
 
-    async def serve(self, requests: list[ServiceRequest], *,
-                    workers: int = 1, clock=None) -> list[RequestRecord]:
-        """Serve a schedule through per-backend asyncio workers.
+    def serve_schedule(self, requests: list[ServiceRequest], *,
+                       clock=None) -> list[RequestRecord]:
+        """Serve a schedule wave by wave.
 
-        Admission runs synchronously in schedule order (decisions are a
-        pure function of the schedule); admitted requests fan out to
-        their backend's queue and ``workers`` worker tasks per backend
-        drain it.  Requests sharing an arrival instant form a *wave*:
-        the whole wave is admitted (going in-flight together -- this is
-        where concurrent-session counts come from) before the next
-        instant is considered.  The admitted rounds are then prepared
-        and their request MACs taken in one lane-packed pass per side
-        (:meth:`_prime_wave`) before they are queued; :meth:`process`
-        stays the scalar reference.
+        Requests sharing an arrival instant form a *wave*.  The whole
+        wave is admitted first, in schedule order (decisions are a pure
+        function of the schedule); its admitted requests are then in
+        flight together, which is what ``peak_in_flight`` counts.  Their
+        rounds are prepared and their request MACs taken in one
+        lane-packed pass per side (:meth:`RequestLanes.prepare`), and
+        the rounds run in schedule order before the next instant is
+        admitted.  :meth:`process` stays the scalar reference.
 
         ``clock`` is an optional host-clock callable injected by the
         benchmark to stamp per-request latency: it is read once per
         admitted request, in schedule order, at admission, and once when
-        the request's round completes.  The deterministic path never
-        passes one.
+        the request's round completes; a rejected request never reads
+        it.  The deterministic path never passes one.
         """
-        if workers < 1:
-            raise ConfigurationError("serve needs at least one worker")
+        self._check_schedule(requests)
         records: list[RequestRecord | None] = [None] * len(requests)
-        queues = {backend: asyncio.Queue() for backend in self.backends}
-        in_flight = 0
-
-        async def drain(queue: asyncio.Queue) -> None:
-            nonlocal in_flight
-            while True:
-                item = await queue.get()
-                if item is None:
-                    queue.task_done()
-                    return
-                slot, request, member, started, prepared = item
-                record = self._attest_record(request, member, prepared)
+        by_arrival = itertools.groupby(
+            enumerate(requests),
+            key=lambda pair: pair[1].arrival_seconds)
+        for _, wave in by_arrival:
+            admitted = []
+            for slot, request in wave:
+                member = self.admit(request)
+                if member is None:
+                    records[slot] = self._rejected_record(request)
+                    continue
+                started = clock() if clock is not None else None
+                admitted.append((slot, request, member, started))
+            self.peak_in_flight = max(self.peak_in_flight, len(admitted))
+            prepared = self._request_lanes.prepare(
+                [member.index for _, _, member, _ in admitted])
+            for (slot, request, member, started), ready in zip(admitted,
+                                                               prepared):
+                record = self._attest_record(request, member, ready)
                 if started is not None:
                     record.host_latency_seconds = clock() - started
                 records[slot] = record
-                in_flight -= 1
-                queue.task_done()
-
-        tasks = [asyncio.ensure_future(drain(queue))
-                 for queue in queues.values() for _ in range(workers)]
-        try:
-            by_arrival = itertools.groupby(
-                enumerate(requests),
-                key=lambda pair: pair[1].arrival_seconds)
-            for _, wave in by_arrival:
-                admitted = []
-                for slot, request in wave:
-                    member = self.admit(request)
-                    if member is None:
-                        records[slot] = self._rejected_record(request)
-                        continue
-                    started = clock() if clock is not None else None
-                    in_flight += 1
-                    self.peak_in_flight = max(self.peak_in_flight, in_flight)
-                    admitted.append((slot, request, member, started))
-                members = [member for _, _, member, _ in admitted]
-                for item, member, prepared in zip(
-                        admitted, members, self._prime_wave(members)):
-                    queues[member.backend].put_nowait((*item, prepared))
-                # The wave must land before the next arrival instant is
-                # admitted, or bucket refills would observe reordered
-                # virtual time.
-                for queue in queues.values():
-                    await queue.join()
-        finally:
-            for queue in queues.values():
-                for _ in range(workers):
-                    queue.put_nowait(None)
-            await asyncio.gather(*tasks)
         return records  # type: ignore[return-value]
-
-    def serve_schedule(self, requests: list[ServiceRequest], *,
-                       workers: int = 1, clock=None) -> list[RequestRecord]:
-        """:meth:`serve`, run to completion on a private event loop."""
-        return asyncio.run(self.serve(requests, workers=workers,
-                                      clock=clock))
 
     # -- fingerprints (equivalence gates) --------------------------------
 
@@ -542,8 +508,12 @@ def build_schedule(size: int, *, waves: int, wave_devices: int | None = None,
         raise ConfigurationError("schedule needs size >= 1 and waves >= 1")
     if wave_devices is not None and not 1 <= wave_devices <= size:
         raise ConfigurationError("wave_devices must be in 1..size")
-    if spacing_seconds < 0 or start_seconds < 0:
-        raise ConfigurationError("schedule times cannot be negative")
+    for name, value in (("spacing_seconds", spacing_seconds),
+                        ("start_seconds", start_seconds)):
+        if not 0 <= value < math.inf:
+            raise ConfigurationError(
+                f"schedule {name} must be finite and non-negative, "
+                f"got {value}")
     rng = DeterministicRng(seed).substream("schedule")
     requests: list[ServiceRequest] = []
     for wave in range(waves):

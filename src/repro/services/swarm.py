@@ -49,7 +49,7 @@ from ..obs.registry import MetricsRegistry
 from ..obs.telemetry import Telemetry
 
 __all__ = ["SwarmMember", "MemberSweepOutcome", "SweepReport",
-           "fold_outcomes", "Swarm"]
+           "verdict_category", "fold_outcomes", "Swarm"]
 
 #: Outcome categories a member can report from one sweep.
 OUTCOME_CATEGORIES = ("trusted", "untrusted", "no_response", "refused",
@@ -91,6 +91,24 @@ class MemberSweepOutcome:
     retries: int = 0
     energy_delta_mj: float = 0.0
     duration_seconds: float = 0.0
+
+
+def verdict_category(result: VerificationResult,
+                     prover_refused: bool) -> str:
+    """Bucket one round's verdict by cause (see :class:`SweepReport`).
+
+    ``prover_refused`` says whether the prover rejected a request during
+    the round.  Silence has two causes the transcript distinguishes: the
+    prover rejecting the request (it saw it and said no) vs the channel
+    never delivering anything.
+    """
+    if result.trusted:
+        return "trusted"
+    if result.detail == "no-response":
+        return "refused" if prover_refused else "no_response"
+    if not result.authentic:
+        return "refused"
+    return "untrusted"
 
 
 @dataclass(frozen=True)
@@ -363,23 +381,9 @@ class Swarm:
         duration = session.sim.now - begun.start
         session.device.sync_energy()
         energy = session.device.battery.consumed_mj - begun.energy_mj
-        if result.trusted:
-            self._record_breaker(member, True)
-            category = "trusted"
-        else:
-            self._record_breaker(member, False)
-            if result.detail == "no-response":
-                # Silence has two causes the transcript distinguishes:
-                # the prover rejecting the request (it saw it and said
-                # no) vs the channel never delivering anything.
-                if session.anchor.stats.rejected_total > begun.rejected:
-                    category = "refused"
-                else:
-                    category = "no_response"
-            elif not result.authentic:
-                category = "refused"
-            else:
-                category = "untrusted"
+        self._record_breaker(member, result.trusted)
+        category = verdict_category(
+            result, session.anchor.stats.rejected_total > begun.rejected)
         return MemberSweepOutcome(member.device_id, category,
                                   retries=retries, energy_delta_mj=energy,
                                   duration_seconds=duration)
@@ -417,12 +421,9 @@ class Swarm:
         """
         begun = [self._begin_member(member, stagger_seconds)
                  for member in self.members]
-        prepared = [None if entry is None
-                    else entry.member.session.prepare_request()
-                    for entry in begun]
-        self._request_lanes.prime({lane: request for lane, request
-                                   in enumerate(prepared)
-                                   if request is not None})
+        prepared = self._request_lanes.prepare(
+            [None if entry is None else lane
+             for lane, entry in enumerate(begun)])
         outcomes = []
         for member, entry, request in zip(self.members, begun, prepared):
             if entry is None:

@@ -1,7 +1,7 @@
 """Unit tests for the dynamic canary leak-hunt.
 
 The hunt provisions a real fleet with a known canary master key, runs
-real attestation rounds through the swarm and the asyncio service, then
+real attestation rounds through the swarm and the verifier service, then
 scans every serialized artifact for any textual encoding of any key.
 Both directions must hold: a clean build yields zero hits (with the
 raw-bytes control proving the scanner *would* see a leak), and a build

@@ -188,9 +188,10 @@ class TestAsyncHostClock:
         assert "DET001" in rules_in(source)
 
     def test_attestd_is_clean(self):
-        """Pin: the asyncio service tier must stay off the host clock --
-        its scheduling runs on injected simulated time, and this test is
-        the tripwire against an accidental asyncio.sleep sneaking in."""
+        """Pin: the service tier must stay off the host clock -- its
+        admission runs on the schedule's virtual time and host time
+        enters only as the injected ``clock``; this test is the tripwire
+        against a host-clock call sneaking in."""
         from repro.analysis.lint import lint_file
         violations = lint_file(REPO / "src/repro/services/attestd.py", REPO)
         det = [v for v in violations if v.rule == "DET001"]

@@ -203,7 +203,7 @@ class TestSpeckTamperThroughLanes:
 
     def test_memo_for_one_payload_never_answers_another(self):
         auth = SpeckCbcMacAuthenticator(KEY)
-        SpeckTagLanes([auth]).precompute([PAYLOAD])
+        SpeckTagLanes([auth]).precompute({0: PAYLOAD})
         genuine = cbc_mac(Speck64_128(KEY), PAYLOAD)
         altered = _flip(PAYLOAD)
         assert auth.tag(altered) == cbc_mac(Speck64_128(KEY), altered)
@@ -217,12 +217,20 @@ class TestSpeckTamperThroughLanes:
     def test_memo_is_computed_under_each_authenticators_own_cipher(self):
         ours, theirs = (SpeckCbcMacAuthenticator(KEY),
                         SpeckCbcMacAuthenticator(b"z" * 16))
-        SpeckTagLanes([ours, theirs]).precompute([PAYLOAD, PAYLOAD])
+        SpeckTagLanes([ours, theirs]).precompute({0: PAYLOAD, 1: PAYLOAD})
         assert ours._memo == (PAYLOAD, cbc_mac(Speck64_128(KEY), PAYLOAD))
         assert theirs._memo == (PAYLOAD,
                                 cbc_mac(Speck64_128(b"z" * 16), PAYLOAD))
         assert not theirs.verify(PAYLOAD, SpeckCbcMacAuthenticator(KEY)
                                  .tag(PAYLOAD))
+
+    def test_only_carried_lanes_get_a_memo(self):
+        auths = [SpeckCbcMacAuthenticator(bytes([k]) * 16) for k in range(4)]
+        SpeckTagLanes(auths).precompute({3: PAYLOAD, 1: _flip(PAYLOAD)})
+        assert [auth._memo for auth in auths] == [
+            None, (_flip(PAYLOAD), cbc_mac(Speck64_128(bytes([1]) * 16),
+                                           _flip(PAYLOAD))),
+            None, (PAYLOAD, cbc_mac(Speck64_128(bytes([3]) * 16), PAYLOAD))]
 
     def test_prover_with_another_key_rejects_through_its_own_memo(
             self, monkeypatch):

@@ -176,7 +176,8 @@ def _lane_bytes(seed, lanes, size):
 
 
 class TestSpeckLanes:
-    """Every lane of one SWAR pass equals its cipher's own chain."""
+    """Every carried lane of one SWAR pass equals its cipher's own
+    chain; ``mac_chains`` takes and returns ``{lane: bytes}``."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32), lanes=st.integers(1, 300),
@@ -188,10 +189,10 @@ class TestSpeckLanes:
         messages[0] = data.draw(st.binary(min_size=8 * blocks,
                                           max_size=8 * blocks))
         packed = [Speck64_128(key) for key in keys]
-        tags = SpeckLanes(packed).mac_chains(messages)
+        tags = SpeckLanes(packed).mac_chains(dict(enumerate(messages)))
         scalar = [Speck64_128(key) for key in keys]
-        assert tags == [cipher.mac_chain(message)
-                        for cipher, message in zip(scalar, messages)]
+        assert tags == {lane: cipher.mac_chain(message) for lane, (
+            cipher, message) in enumerate(zip(scalar, messages))}
         assert ([c.blocks_encrypted for c in packed]
                 == [c.blocks_encrypted for c in scalar] == [blocks] * lanes)
         for lane in {0, lanes - 1}:
@@ -206,8 +207,8 @@ class TestSpeckLanes:
         expected_tag, expected_blocks = ref_speck_cbc_mac(key, message)
         cipher = Speck64_128(key)
         lanes = SpeckLanes([cipher])
-        assert lanes.mac_chains([cbc_mac_encode(message, BLOCK_SIZE)]) == [
-            expected_tag]
+        assert lanes.mac_chains({0: cbc_mac_encode(message, BLOCK_SIZE)}) == {
+            0: expected_tag}
         assert cipher.blocks_encrypted == expected_blocks
 
     @settings(max_examples=40, deadline=None)
@@ -217,21 +218,27 @@ class TestSpeckLanes:
            data=st.data())
     def test_mixed_lengths_are_grouped_and_none_skips(self, seed, lengths,
                                                       data):
-        """Lanes of different lengths each get their own pass; a
-        ``None`` lane gets no tag and no block count."""
+        """Lanes of different lengths each get their own pass; a lane
+        left out (``None`` here) gets no tag and no block count.  The
+        carried lanes are drawn in shuffled order."""
         keys = _lane_bytes(seed, len(lengths), 16)
         messages = [None if blocks is None else
                     data.draw(st.binary(min_size=8 * blocks,
                                         max_size=8 * blocks))
                     for blocks in lengths]
+        carried = data.draw(st.permutations(
+            [lane for lane, message in enumerate(messages)
+             if message is not None]))
         packed = [Speck64_128(key) for key in keys]
         lanes = SpeckLanes(packed)
         # Twice through the same packed keys: the counters accumulate.
         for _ in range(2):
-            tags = lanes.mac_chains(messages)
+            tags = lanes.mac_chains({lane: messages[lane]
+                                     for lane in carried})
         scalar = [Speck64_128(key) for key in keys]
-        expected = [None if message is None else cipher.mac_chain(message)
-                    for cipher, message in zip(scalar, messages)]
+        expected = {lane: cipher.mac_chain(message) for lane, (
+            cipher, message) in enumerate(zip(scalar, messages))
+            if message is not None}
         assert tags == expected
         assert ([c.blocks_encrypted for c in packed]
                 == [2 * c.blocks_encrypted for c in scalar])
@@ -240,17 +247,21 @@ class TestSpeckLanes:
         ciphers = [Speck64_128(key) for key in _lane_bytes(1, 3, 16)]
         lanes = SpeckLanes(ciphers)
         with pytest.raises(InvalidBlockError, match="lane 2"):
-            lanes.mac_chains([bytes(16), bytes(8), bytes(12)])
+            lanes.mac_chains({0: bytes(16), 1: bytes(8), 2: bytes(12)})
         assert [c.blocks_encrypted for c in ciphers] == [0, 0, 0]
 
-    def test_message_count_must_match_lane_count(self):
-        lanes = SpeckLanes([Speck64_128(VEC_KEY)])
-        with pytest.raises(InvalidBlockError, match="one message per lane"):
-            lanes.mac_chains([VEC_PT, VEC_PT])
+    def test_lane_out_of_range_is_rejected_before_any_pass(self):
+        ciphers = [Speck64_128(key) for key in _lane_bytes(2, 3, 16)]
+        lanes = SpeckLanes(ciphers)
+        for lane in (3, -1, 99, "2", 2.5):
+            with pytest.raises(InvalidBlockError, match="lanes 0..2"):
+                lanes.mac_chains({0: VEC_PT, 1: VEC_PT, lane: VEC_PT})
+        assert [c.blocks_encrypted for c in ciphers] == [0, 0, 0]
 
     def test_published_vector_in_every_lane(self):
         lanes = SpeckLanes([Speck64_128(VEC_KEY) for _ in range(5)])
-        assert lanes.mac_chains([VEC_PT] * 5) == [VEC_CT] * 5
+        assert lanes.mac_chains(dict.fromkeys(range(5), VEC_PT)) == (
+            dict.fromkeys(range(5), VEC_CT))
 
     @pytest.mark.parametrize("ciphers", [[], [AES128(VEC_KEY)]],
                              ids=["empty", "aes"])

@@ -7,12 +7,13 @@ restated over generated shapes):
   same spec and schedule always yield the same records, rejections
   included;
 * consistent-hash placement decides only *where* a session runs --
-  changing the backend count (or worker count) never changes a
-  verdict, a freshness counter, or a telemetry line;
+  changing the backend count never changes a verdict, a freshness
+  counter, or a telemetry line;
 * a service killed mid-load and restored from its snapshot continues
   byte-identically to one that was never interrupted.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.authenticator import SpeckCbcMacAuthenticator
 from repro.crypto.speck import Speck64_128
 from repro.errors import ConfigurationError, SnapshotError
+from repro.mcu.statecache import StateDigestCache
 from repro.services.attestd import (AttestationService, HashRing,
                                     ServiceRequest, TokenBucket,
                                     build_schedule,
@@ -145,12 +147,12 @@ class TestAdmission:
     def test_rejection_charges_nothing(self):
         """Reject-before-measure: a turned-away request leaves session
         state untouched (the Section 3.1 defence)."""
-        service = tight_service(6)
+        service = small_service(duty_fraction=0.005, burst_seconds=10.0)
         schedule = build_schedule(6, waves=6, spacing_seconds=1.0)
-        before_counters = None
         records = service.process(schedule)
         rejected = [r for r in records if not r.admitted]
         assert rejected, "duty budget never bound; test proves nothing"
+        assert len(rejected) < len(records), "nothing admitted"
         assert all(r.verdict == "rejected-admission" and
                    r.detail == "duty-budget-exhausted" for r in rejected)
         fresh = service.freshness_fingerprint()
@@ -182,18 +184,16 @@ class TestAdmission:
 
 class TestShardEquivalence:
     @given(size=st.integers(min_value=2, max_value=8),
-           backends=st.integers(min_value=1, max_value=6),
-           workers=st.integers(min_value=1, max_value=3))
+           backends=st.integers(min_value=1, max_value=7))
     @settings(max_examples=15, deadline=None)
-    def test_placement_never_changes_answers(self, size, backends,
-                                             workers):
+    def test_placement_never_changes_answers(self, size, backends):
         schedule = build_schedule(size, waves=3, spacing_seconds=20.0,
                                   seed=f"shard-{size}")
         reference = tight_service(size, backends=3)
         sharded = tight_service(size, backends=backends)
         expected = [r.fingerprint() for r in reference.process(schedule)]
         got = [r.fingerprint()
-               for r in sharded.serve_schedule(schedule, workers=workers)]
+               for r in sharded.serve_schedule(schedule)]
         assert got == expected
         assert view(sharded) == view(reference)
 
@@ -371,8 +371,200 @@ class TestNoStaleVerdict:
         session.channel.adversary = DropRequests(2)
         schedule = [ServiceRequest(float(wave), 0, wave)
                     for wave in range(3)]
-        run = (service.serve_schedule if path == "serve"
-               else service.process)
-        assert [r.verdict for r in run(schedule)] == [
+        assert [r.verdict for r in run_path(service, path)(schedule)] == [
             "trusted", "no_response", "trusted"]
         assert session.anchor.stats.received == 2
+
+
+def snapshot_text(service) -> str:
+    return json.dumps(service.snapshot(), sort_keys=True)
+
+
+def run_path(service, path):
+    return service.serve_schedule if path == "serve" else service.process
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestBadScheduleLeavesNoState:
+    """A schedule is checked whole before anything is admitted: a bad
+    request raises a :class:`ConfigurationError` naming it and its
+    field, and the service is byte-for-byte as it was."""
+
+    @pytest.mark.parametrize("path", ["serve", "process"])
+    def test_unknown_device_after_two_good_ones(self, path):
+        service = small_service(size=4, tenants=1)
+        before = snapshot_text(service)
+        wave = [ServiceRequest(1.0, 0, 0), ServiceRequest(1.0, 1, 1),
+                ServiceRequest(1.0, 99, 2)]
+        with pytest.raises(ConfigurationError,
+                           match="request 2: device_index 99"):
+            run_path(service, path)(wave)
+        assert snapshot_text(service) == before
+        assert service.admitted == 0
+        assert [m.session.anchor.stats.received
+                for m in service.members] == [0] * 4
+
+    @pytest.mark.parametrize("path", ["serve", "process"])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_arrival_cannot_bypass_the_duty_budget(self, path,
+                                                               bad):
+        """A NaN or infinite arrival used to refill every bucket to its
+        burst on each request; now the schedule is refused whole."""
+        def service():
+            return AttestationService(4, tenants=1, backends=2,
+                                      duty_fraction=0.01,
+                                      burst_seconds=30.0,
+                                      device_config=tiny_config(),
+                                      seed="duty-nan")
+
+        finite = [ServiceRequest(0.0, i % 4, i) for i in range(40)]
+        control = service()
+        run_path(control, path)(finite)
+        assert 0 < control.admitted < 40, "budget never bound"
+        poisoned = service()
+        before = snapshot_text(poisoned)
+        schedule = [finite[0], ServiceRequest(bad, 1, 1), *finite[2:]]
+        with pytest.raises(ConfigurationError,
+                           match="request 1: arrival_seconds"):
+            run_path(poisoned, path)(schedule)
+        assert snapshot_text(poisoned) == before
+
+    @given(path=st.sampled_from(["serve", "process"]),
+           arrivals=st.lists(st.floats(min_value=10.0, max_value=50.0),
+                             min_size=1, max_size=8),
+           position=st.integers(min_value=0, max_value=7),
+           data=st.data(),
+           bad=st.one_of(
+               st.tuples(st.just("device_index"),
+                         st.sampled_from([-1, 4, 99, True, False, 1.0])),
+               st.tuples(st.just("arrival_seconds"),
+                         st.sampled_from([*NON_FINITE, 9.0]))))
+    @settings(max_examples=40, deadline=None)
+    def test_any_bad_field_raises_and_changes_nothing(self, path, arrivals,
+                                                      position, data, bad):
+        """One bad field anywhere in an otherwise good schedule: an
+        out-of-range, ``bool`` or ``float`` device index, or an arrival
+        that is non-finite or earlier than the admission clock (10.0
+        after the history) or than the request before it."""
+        service = small_service(size=4, tenants=1)
+        service.serve_schedule([ServiceRequest(10.0, 0, 0)])
+        arrivals.sort()
+        schedule = [ServiceRequest(arrival,
+                                   data.draw(st.integers(0, 3)),
+                                   100 + slot)
+                    for slot, arrival in enumerate(arrivals)]
+        position = min(position, len(schedule) - 1)
+        field, value = bad
+        schedule[position] = dataclasses.replace(schedule[position],
+                                                 **{field: value})
+        before = snapshot_text(service)
+        with pytest.raises(ConfigurationError,
+                           match=f"request {100 + position}: {field}"):
+            run_path(service, path)(schedule)
+        assert snapshot_text(service) == before
+
+
+class TestNonFiniteTimes:
+    @given(now=st.sampled_from(NON_FINITE),
+           spent=st.floats(min_value=0.0, max_value=2.0))
+    @settings(max_examples=20, deadline=None)
+    def test_bucket_refuses_non_finite_now(self, now, spent):
+        bucket = TokenBucket(rate=1.0, burst=2.0)
+        bucket.try_take(3.0, spent)
+        state = (bucket.tokens, bucket.updated)
+        with pytest.raises(ConfigurationError, match="finite"):
+            bucket.refill(now)
+        with pytest.raises(ConfigurationError, match="finite"):
+            bucket.try_take(now, 0.0)
+        assert (bucket.tokens, bucket.updated) == state
+
+    @given(field=st.sampled_from(["rate", "burst"]),
+           value=st.sampled_from(NON_FINITE))
+    @settings(max_examples=10, deadline=None)
+    def test_bucket_refuses_non_finite_shape(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            TokenBucket(**{"rate": 1.0, "burst": 2.0, field: value})
+
+    @given(field=st.sampled_from(["spacing_seconds", "start_seconds"]),
+           value=st.sampled_from([*NON_FINITE, -1.0]))
+    @settings(max_examples=12, deadline=None)
+    def test_schedule_refuses_non_finite_times(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            build_schedule(4, waves=2, **{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_service_refuses_non_finite_burst(self, value):
+        with pytest.raises(ConfigurationError, match="burst_seconds"):
+            AttestationService(2, tenants=1, burst_seconds=value,
+                               device_config=tiny_config())
+
+
+class TestInjectedClock:
+    """The host-clock contract perfbench's latency figures rest on: per
+    wave, each admitted request reads the clock once at admission, in
+    schedule order and before any round runs, and once when its round
+    completes, in schedule order; a rejected request never reads it."""
+
+    def assert_contract(self, service, schedule):
+        reads = []
+
+        def clock():
+            rounds = sum(member.session.anchor.stats.received
+                         for member in service.members)
+            reads.append((float(len(reads)), service.admitted, rounds))
+            return reads[-1][0]
+
+        waves = {}
+        for request in schedule:
+            waves.setdefault(request.arrival_seconds, []).append(request)
+        for wave in waves.values():
+            reads.clear()
+            admitted_before = service.admitted
+            rounds_before = sum(member.session.anchor.stats.received
+                                for member in service.members)
+            records = service.serve_schedule(wave, clock=clock)
+            admitted = [r for r in records if r.admitted]
+            n = len(admitted)
+            assert len(reads) == 2 * n
+            assert [read[1:] for read in reads[:n]] == [
+                (admitted_before + k + 1, rounds_before) for k in range(n)]
+            assert [read[1:] for read in reads[n:]] == [
+                (admitted_before + n, rounds_before + k + 1)
+                for k in range(n)]
+            for k, record in enumerate(admitted):
+                assert record.host_latency_seconds == (reads[n + k][0]
+                                                       - reads[k][0])
+            assert all(r.host_latency_seconds is None
+                       for r in records if not r.admitted)
+
+    def test_admitted_and_rejected_requests(self):
+        service = small_service(duty_fraction=0.005, burst_seconds=10.0)
+        schedule = build_schedule(6, waves=6, spacing_seconds=1.0)
+        self.assert_contract(service, schedule)
+        assert service.admitted > 0 and service.rejected > 0
+
+    def test_device_named_twice_in_a_wave(self):
+        service = small_service(size=3)
+        schedule = [ServiceRequest(1.0, 0, 0), ServiceRequest(1.0, 1, 1),
+                    ServiceRequest(1.0, 0, 2), ServiceRequest(2.0, 2, 3),
+                    ServiceRequest(2.0, 2, 4)]
+        self.assert_contract(service, schedule)
+        assert service.admitted == 5
+        assert service.peak_in_flight == 3
+
+
+class TestSharedStateCache:
+    def test_serve_matches_process_on_cache_stats(self):
+        """Both paths run rounds in schedule order, so a shared state
+        cache sees the same lookups in the same order."""
+        schedule = build_schedule(8, waves=3, spacing_seconds=20.0)
+        served, processed = (
+            small_service(size=8, backends=4,
+                          state_cache=StateDigestCache(max_entries=2))
+            for _ in range(2))
+        got = [r.fingerprint() for r in served.serve_schedule(schedule)]
+        assert got == [r.fingerprint() for r in processed.process(schedule)]
+        assert view(served) == view(processed)
+        assert served.state_cache.stats() == processed.state_cache.stats()
